@@ -129,7 +129,7 @@ class PostureOrchestrator:
         """Batched actuation: apply a whole evaluation round's postures.
 
         Data-plane updates are coalesced per switch: in direct mode every
-        switch receives one rule batch (one table re-sort); in consistent
+        switch receives one rule batch (one ``install_many``); in consistent
         mode every touched switch receives exactly one two-phase epoch,
         however many of its devices changed posture this round.
 

@@ -9,6 +9,8 @@ assumes.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.netsim.node import Node
@@ -27,29 +29,35 @@ _MISS = object()
 #: traffic (e.g. a port-scanning attacker) from growing it without bound.
 _LOOKUP_CACHE_MAX = 1024
 
+_Entry = tuple[tuple[int, int, int], FlowRule]  # (rule.sort_key(), rule)
+
+
+def _filter(bucket: list[_Entry], predicate: Callable[[FlowRule], bool]) -> int:
+    """Drop the entries whose rule satisfies ``predicate``, in place."""
+    size = len(bucket)
+    bucket[:] = [entry for entry in bucket if not predicate(entry[1])]
+    return size - len(bucket)
+
 
 class Switch(Node):
     """A flow-table switch with controller punting and version filtering."""
 
     def __init__(self, name: str, sim: "Simulator") -> None:
         super().__init__(name, sim)
-        self.flow_table: list[FlowRule] = []
         self.active_version: Optional[int] = None
         self.packet_in_handler: Optional[Callable[["Switch", Packet, int], None]] = None
         self.punted = 0
         self.dropped = 0
         self.miss_drops = 0
-        # Lookup accelerator: every rule lands in exactly one bucket --
-        # keyed by its concrete dst, else by its concrete src, else the
-        # wildcard list.  A packet can only match rules in the buckets for
-        # its own dst/src (plus wildcards), so lookup scans a handful of
-        # candidates instead of the whole table.  Entries carry the
-        # precomputed sort key; the winner is the minimum over matches,
-        # which is exactly what the sorted linear scan returned (sort keys
-        # are totally ordered via the unique rule_id).
-        self._by_dst: dict[str, list[tuple[tuple[int, int, int], FlowRule]]] = {}
-        self._by_src: dict[str, list[tuple[tuple[int, int, int], FlowRule]]] = {}
-        self._wild: list[tuple[tuple[int, int, int], FlowRule]] = []
+        # The flow table is a bucket index: every rule lands in exactly one
+        # bucket -- keyed by its concrete dst, else by its concrete src, else
+        # the wildcard list -- so lookup scans only the buckets a packet's
+        # dst/src can match.  Buckets are unordered (installs append); the
+        # winner is the minimum precomputed sort key over matches, unique
+        # because sort keys are totally ordered via rule_id.
+        self._by_dst: dict[str, list[_Entry]] = {}
+        self._by_src: dict[str, list[_Entry]] = {}
+        self._wild: list[_Entry] = []
         # Megaflow cache (the OVS trick): the winning rule per concrete
         # 5-tuple + in_port.  Any table or epoch change clears it -- the
         # scan is the slow path, the cache hit is one dict probe.
@@ -66,51 +74,34 @@ class Switch(Node):
     # ------------------------------------------------------------------
     # Flow-table management (the controller calls these, via the channel)
     # ------------------------------------------------------------------
-    def _index_add(self, rule: FlowRule) -> None:
-        entry = (rule.sort_key(), rule)
-        if rule.match.dst is not None:
-            self._by_dst.setdefault(rule.match.dst, []).append(entry)
-        elif rule.match.src is not None:
-            self._by_src.setdefault(rule.match.src, []).append(entry)
-        else:
-            self._wild.append(entry)
-
-    def _reindex(self) -> None:
-        self._by_dst = {}
-        self._by_src = {}
-        self._wild = []
-        self._lookup_cache.clear()
-        for rule in self.flow_table:
-            self._index_add(rule)
-
     def install(self, rule: FlowRule) -> None:
-        """Install a rule, keeping the table sorted for lookup."""
-        self.flow_table.append(rule)
-        self.flow_table.sort(key=FlowRule.sort_key)
-        self._index_add(rule)
-        self._lookup_cache.clear()
+        """Install one rule (a batch of one)."""
+        self.install_many([rule])
 
     def install_many(self, rules: list[FlowRule]) -> None:
-        """Install a batch of rules with a single table re-sort.
-
-        The orchestrator's batched actuation stage pushes one rule batch
-        per switch per evaluation round through here.
-        """
+        """Install a batch (an epoch, a posture round): O(1) per rule, no sort."""
         if not rules:
             return
-        self.flow_table.extend(rules)
-        self.flow_table.sort(key=FlowRule.sort_key)
         for rule in rules:
-            self._index_add(rule)
+            entry = (rule.sort_key(), rule)
+            if rule.match.dst is not None:
+                self._by_dst.setdefault(rule.match.dst, []).append(entry)
+            elif rule.match.src is not None:
+                self._by_src.setdefault(rule.match.src, []).append(entry)
+            else:
+                self._wild.append(entry)
         self._lookup_cache.clear()
 
     def remove_where(self, predicate: Callable[[FlowRule], bool]) -> int:
-        """Remove rules satisfying ``predicate``; returns how many."""
-        before = len(self.flow_table)
-        self.flow_table = [r for r in self.flow_table if not predicate(r)]
-        removed = before - len(self.flow_table)
+        """Remove rules satisfying ``predicate`` (and emptied buckets); returns how many."""
+        removed = _filter(self._wild, predicate)
+        for index in (self._by_dst, self._by_src):
+            for key in list(index):
+                removed += _filter(index[key], predicate)
+                if not index[key]:
+                    del index[key]
         if removed:
-            self._reindex()
+            self._lookup_cache.clear()
         return removed
 
     def remove_version(self, version: int) -> int:
@@ -223,8 +214,16 @@ class Switch(Node):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def flow_table(self) -> list[FlowRule]:
+        """Every installed rule in lookup order (a fresh sorted view)."""
+        buckets = chain(self._by_dst.values(), self._by_src.values())
+        entries = sorted(chain(self._wild, *buckets), key=itemgetter(0))
+        return [rule for __, rule in entries]
+
     def table_size(self) -> int:
-        return len(self.flow_table)
+        buckets = chain(self._by_dst.values(), self._by_src.values())
+        return len(self._wild) + sum(map(len, buckets))
 
     def rules_for(self, device: str) -> list[FlowRule]:
         """Rules whose match names ``device`` as src or dst."""

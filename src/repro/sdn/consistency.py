@@ -194,8 +194,7 @@ class ConsistentUpdater:
             def make_install(
                 sw: "Switch" = switch, rs: list[FlowRule] = stamped
             ) -> None:
-                for r in rs:
-                    sw.install(r)
+                sw.install_many(rs)
                 # Ack travels back over the channel.
                 self.sim.schedule(self.channel.latency_to(sw.name), phase_one_ack)
 
@@ -228,7 +227,7 @@ class ConsistentUpdater:
             ) -> None:
                 for r in rs:
                     r.version = None
-                    sw.install(r)
+                sw.install_many(rs)
 
             self._send_and_apply(switch, make_install)
         # Best effort "commits" as soon as the last install lands.

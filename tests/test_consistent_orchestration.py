@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.deployment import SecuredDeployment
 from repro.devices import protocol
-from repro.devices.library import smart_camera, smart_plug
+from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
 from repro.policy.posture import ALLOW_ALL, block_commands
+from repro.sdn.flowrule import FlowRule
 
 
 @pytest.fixture
@@ -87,3 +88,40 @@ def test_both_devices_protected_end_to_end(dep):
     assert dep.devices["plug"].state == "off"
     # cam's posture only blocks "record": login still flows through its mbox
     assert len(replies) == 1
+
+
+def test_epoch_installs_call_sort_key_once_per_rule(monkeypatch):
+    """Write-path gate: installing an epoch costs O(rules), not a table sort.
+
+    Each of 40 onboardings pushes one epoch carrying every device's rules
+    on the edge switch.  A switch that re-sorts its table per installed
+    rule calls ``FlowRule.sort_key`` hundreds of thousands of times here;
+    the bucket index needs one call per installed rule.
+    """
+    calls = {"n": 0}
+    original = FlowRule.sort_key
+
+    def counted(rule):
+        calls["n"] += 1
+        return original(rule)
+
+    monkeypatch.setattr(FlowRule, "sort_key", counted)
+    deployment = SecuredDeployment.build(consistent_updates=True)
+    factories = (smart_camera, smart_plug, thermostat, smart_bulb)
+    names = [f"dev{i}" for i in range(40)]
+    for i, name in enumerate(names):
+        deployment.add_device(factories[i % len(factories)], name)
+    deployment.finalize()
+    deployment.run(until=0.1)
+    calls["n"] = 0
+    first = len(deployment.orchestrator.updater.reports)
+    for name in names:
+        deployment.secure(name, block_commands("stop"), pin=False)
+        deployment.run(until=deployment.sim.now + 0.1)
+
+    reports = deployment.orchestrator.updater.reports[first:]
+    assert len(reports) == len(names)
+    assert all(r.committed_at is not None for r in reports)
+    installed = sum(r.rules_installed for r in reports)
+    assert installed >= 4 * len(names) * (len(names) + 1) // 2
+    assert calls["n"] <= installed

@@ -7,14 +7,18 @@ entries, and land on the same deterministic counters as it did before the
 refactor.  These tests pin that contract against fixtures recorded on the
 pre-refactor tree (``tests/fixtures/hot_path_equivalence.json``).
 
-Three seeded scenarios are pinned:
+Four seeded scenarios are pinned:
 
 - **e9-small** -- a fully-tunnelled 12-device home with telemetry and an
   attack sweep (the E9 hot path in miniature);
 - **e12-resilient** -- the standard chaos scenario's resilient arm
   (partitions, retries, µmbox crash/reboot);
 - **e13-standby** -- the hot-standby failover arm (checkpoints,
-  replication, takeover).
+  replication, takeover);
+- **e9-epochs** -- a 12-device site with every flow-table write going
+  through two-phase epochs (reliable control, checkpoints, a standby):
+  each device is onboarded unpinned, then a few are released and
+  re-onboarded, so epochs install and garbage-collect at fleet scale.
 
 Each scenario is reduced to a sha256 digest over every retained journal
 entry plus a handful of deterministic counters.  Re-record (only after an
@@ -39,6 +43,7 @@ from repro.core.orchestrator import build_recommended_posture
 from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
 from repro.faults.ha_scenario import run_failover_scenario
 from repro.faults.scenario import run_resilience_scenario
+from repro.policy.posture import ALLOW_ALL
 
 FIXTURE_PATH = Path(__file__).resolve().parent / "fixtures" / "hot_path_equivalence.json"
 RECORDING = bool(os.environ.get("REPRO_RECORD_FIXTURES"))
@@ -67,10 +72,22 @@ def journal_digest(sim) -> str:
     return h.hexdigest()
 
 
+def _e9_posture(dep, name: str):
+    """The E9 posture for a device: proxy, firewall or monitor by flaw class."""
+    device = dep.devices[name]
+    flaws = device.firmware.flaw_classes()
+    if "exposed-credentials" in flaws:
+        return build_recommended_posture("password_proxy", name)
+    if flaws & {"backdoor", "exposed-access"}:
+        return build_recommended_posture(
+            "stateful_firewall", name, trusted_sources=(dep.HUB, dep.CONTROLLER)
+        )
+    return build_recommended_posture("monitor", name, sku=device.sku)
+
+
 def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:
     """The E9 hot path in miniature: tunnelled devices, telemetry, attacks."""
     dep = SecuredDeployment.build()
-    trusted = (dep.HUB, dep.CONTROLLER)
     for i in range(n_devices):
         factory = FACTORY_CYCLE[i % len(FACTORY_CYCLE)]
         device = dep.add_device(
@@ -81,16 +98,7 @@ def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:
     dep.finalize()
     for i in range(n_devices):
         name = f"dev{i}"
-        device = dep.devices[name]
-        if "exposed-credentials" in device.firmware.flaw_classes():
-            posture = build_recommended_posture("password_proxy", name)
-        elif device.firmware.flaw_classes() & {"backdoor", "exposed-access"}:
-            posture = build_recommended_posture(
-                "stateful_firewall", name, trusted_sources=trusted
-            )
-        else:
-            posture = build_recommended_posture("monitor", name, sku=device.sku)
-        dep.secure(name, posture)
+        dep.secure(name, _e9_posture(dep, name))
     EXPLOITS["default_credential_hijack"].launch(attacker, "dev0", dep.sim)
     EXPLOITS["backdoor_command"].launch(
         attacker, "dev1", dep.sim, backdoor_port=49153, command="on"
@@ -111,6 +119,58 @@ def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:
             "pipeline_applies": stats.applies,
             "channel_sent": channel.sent,
             "channel_delivered": channel.delivered,
+            "compromised": sum(
+                1 for d in dep.devices.values() if d.is_compromised()
+            ),
+        },
+    }
+
+
+def run_e9_epochs(n_devices: int = 12, until: float = 120.0) -> dict:
+    """Two-phase epochs at fleet scale: onboard, release, re-onboard."""
+    dep = SecuredDeployment.build(
+        consistent_updates=True,
+        reliable_control=True,
+        checkpointing=True,
+        standby=True,
+    )
+    for i in range(n_devices):
+        factory = FACTORY_CYCLE[i % len(FACTORY_CYCLE)]
+        device = dep.add_device(
+            factory, f"dev{i}", report_to="hub", telemetry_period=20.0
+        )
+        device.start_telemetry()
+    attacker = dep.add_attacker()
+    dep.finalize()
+    for i in range(n_devices):
+        name = f"dev{i}"
+        dep.secure(name, _e9_posture(dep, name), pin=False)
+    EXPLOITS["default_credential_hijack"].launch(attacker, "dev0", dep.sim)
+
+    def release(name: str) -> None:
+        dep.controller.clear_context(name)
+        dep.secure(name, ALLOW_ALL, pin=False)
+
+    def reonboard(name: str) -> None:
+        dep.secure(name, _e9_posture(dep, name), pin=False)
+
+    for k, name in enumerate(("dev1", "dev4", "dev7", "dev10")):
+        dep.sim.schedule_at(20.0 + 10.0 * k, release, name)
+        dep.sim.schedule_at(25.0 + 10.0 * k, reonboard, name)
+    dep.run(until=until)
+
+    reports = dep.orchestrator.updater.reports
+    return {
+        "journal_sha256": journal_digest(dep.sim),
+        "counters": {
+            "events_processed": dep.sim.events_processed,
+            "journal_recorded": dep.sim.journal.recorded,
+            "epochs": len(reports),
+            "epochs_committed": sum(1 for r in reports if r.committed_at is not None),
+            "rules_installed": sum(r.rules_installed for r in reports),
+            "rules_removed": sum(r.rules_removed for r in reports),
+            "table_size": dep.edge.table_size(),
+            "checkpoints": dep.checkpoint_store.captured,
             "compromised": sum(
                 1 for d in dep.devices.values() if d.is_compromised()
             ),
@@ -156,6 +216,7 @@ def run_e13_standby() -> dict:
 
 SCENARIOS = {
     "e9_small": run_e9_small,
+    "e9_epochs": run_e9_epochs,
     "e12_resilient": run_e12_resilient,
     "e13_standby": run_e13_standby,
 }

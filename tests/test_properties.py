@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from hypothesis import given, settings
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 from repro.learning.reputation import ReputationSystem
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
+from repro.netsim.switch import Switch
 from repro.policy.builder import PolicyBuilder
 from repro.policy.context import SystemState
 from repro.policy.fsm import PolicyFSM, StatePredicate
 from repro.policy.posture import MboxSpec, Posture
 from repro.policy.pruning import PrunedPolicy
-from repro.sdn.flowrule import FlowMatch
+from repro.sdn.flowrule import Action, FlowMatch, FlowRule
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +101,69 @@ def test_overlap_symmetric(a, b):
 @given(flow_matches())
 def test_wildcard_subsumes_everything(match):
     assert FlowMatch().subsumes(match)
+
+
+# ----------------------------------------------------------------------
+# Switch: the bucket index answers exactly what a sorted linear scan would
+# ----------------------------------------------------------------------
+versions = st.one_of(st.none(), st.integers(min_value=1, max_value=3))
+
+
+@st.composite
+def flow_rules(draw):
+    match = dataclasses.replace(
+        draw(flow_matches()), in_port=draw(st.one_of(st.none(), st.sampled_from([0, 1])))
+    )
+    return FlowRule(
+        match=match,
+        actions=(Action.drop(),),
+        priority=draw(st.sampled_from([50, 100, 200])),
+        version=draw(versions),
+    )
+
+
+switch_ops = st.one_of(
+    st.tuples(st.just("install"), flow_rules()),
+    st.tuples(st.just("install_many"), st.lists(flow_rules(), max_size=6)),
+    st.tuples(st.just("remove_where"), st.sampled_from(["a", "b", "c"])),
+    st.tuples(st.just("remove_version"), st.integers(min_value=1, max_value=3)),
+    st.tuples(st.just("set_active_version"), versions),
+)
+
+
+def scan_lookup(switch, packet, in_port):
+    """The reference: first live matching rule of the table in sort order."""
+    for rule in switch.flow_table:
+        if rule.version is not None and rule.version != switch.active_version:
+            continue
+        if rule.match.matches(packet, in_port):
+            return rule
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(switch_ops, max_size=25),
+    st.lists(st.tuples(packets(), st.sampled_from([0, 1])), min_size=1, max_size=6),
+)
+def test_switch_lookup_matches_sorted_scan(ops, probes):
+    switch = Switch("sw", Simulator())
+    for op, arg in ops:
+        if op == "install":
+            switch.install(arg)
+        elif op == "install_many":
+            switch.install_many(arg)
+        elif op == "remove_where":
+            switch.remove_where(lambda r, d=arg: d in (r.match.src, r.match.dst))
+        elif op == "remove_version":
+            switch.remove_version(arg)
+        else:
+            switch.set_active_version(arg)
+        table = switch.flow_table
+        assert [r.sort_key() for r in table] == sorted(r.sort_key() for r in table)
+        assert switch.table_size() == len(table)
+        for packet, in_port in probes:
+            assert switch.lookup(packet, in_port) is scan_lookup(switch, packet, in_port)
 
 
 # ----------------------------------------------------------------------

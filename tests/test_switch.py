@@ -158,3 +158,26 @@ def test_rules_for_device(sim):
     sw.install(FlowRule(match=FlowMatch(src="cam"), actions=(Action.drop(),)))
     sw.install(FlowRule(match=FlowMatch(dst="other"), actions=(Action.drop(),)))
     assert len(sw.rules_for("cam")) == 2
+
+
+def test_departed_devices_leave_no_index_keys(sim):
+    """A long-lived gateway does not grow with every device it has seen."""
+    sw, __ = build(sim)
+    cluster_port = port_of(sw, "c")
+    for i in range(500):
+        device = f"dev{i}"
+        tunnel = Action.tunnel(device, cluster_port)
+        sw.install_many([
+            FlowRule(match=FlowMatch(dst=device, in_port=cluster_port),
+                     actions=(Action.controller(),), priority=900),
+            FlowRule(match=FlowMatch(src=device, in_port=cluster_port),
+                     actions=(Action.controller(),), priority=890),
+            FlowRule(match=FlowMatch(dst=device), actions=(tunnel,), priority=500),
+            FlowRule(match=FlowMatch(src=device), actions=(tunnel,), priority=500),
+        ])
+        assert sw.table_size() == 4
+        removed = sw.remove_where(lambda r, d=device: d in (r.match.src, r.match.dst))
+        assert removed == 4
+    assert sw.table_size() == 0
+    assert sw.flow_table == []
+    assert not sw._by_dst and not sw._by_src and not sw._wild
