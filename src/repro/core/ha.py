@@ -44,12 +44,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.core.controller import DEFAULT_ESCALATIONS, EscalationRule, IoTSecController
 from repro.policy.fsm import PostureRule, StatePredicate
 from repro.policy.serialization import (
+    canonical_json,
+    policy_canonical_json,
     policy_from_dict,
     policy_to_dict,
     posture_from_dict,
@@ -107,11 +109,15 @@ class Checkpoint:
     #: installed at capture time (reconciliation evidence).
     postures: list[list[str]]
     epochs: dict[str, int]
+    #: ``canonical_json(policy)``: ``capture`` takes it from the policy's
+    #: per-revision memo; otherwise ``digest`` encodes it once, lazily.
+    _policy_json: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def capture(cls, controller: IoTSecController) -> "Checkpoint":
         pipeline = controller.pipeline
-        return cls(
+        policy = controller.policy
+        checkpoint = cls(
             version=CHECKPOINT_VERSION,
             at=controller.sim.now,
             seq=controller.sim.journal.last_seq,
@@ -119,12 +125,14 @@ class Checkpoint:
             view=controller.view.snapshot(),
             escalations=pipeline.escalator.snapshot(),
             dirty=pipeline.dirty_snapshot(),
-            policy=policy_to_dict(controller.policy),
+            policy=policy_to_dict(policy),
             postures=sorted(
                 [d, p.name] for d, p in controller.orchestrator.current.items()
             ),
             epochs={"rounds": pipeline.stats.rounds},
         )
+        object.__setattr__(checkpoint, "_policy_json", policy_canonical_json(policy))
+        return checkpoint
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -162,11 +170,22 @@ class Checkpoint:
         )
 
     def digest(self) -> str:
-        """Stable content digest: sha256 over the canonical JSON form."""
-        canonical = json.dumps(
-            self.as_dict(), sort_keys=True, separators=(",", ":")
+        """Stable content digest: sha256 over ``canonical_json(as_dict())``.
+
+        The canonical form of a dict is its members' encodings joined in
+        sorted-key order, so it is built member by member and the policy
+        -- nearly all of the bytes, and unchanged between rule additions
+        -- is spliced in from its memoized encoding instead of re-encoded.
+        The bytes hashed are identical to encoding the whole dict at once.
+        """
+        if self._policy_json is None:
+            object.__setattr__(self, "_policy_json", canonical_json(self.policy))
+        members = ",".join(
+            f"{json.dumps(key)}:"
+            + (self._policy_json if key == "policy" else canonical_json(value))
+            for key, value in sorted(self.as_dict().items())
         )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return hashlib.sha256(("{" + members + "}").encode("utf-8")).hexdigest()
 
     def __repr__(self) -> str:
         return (

@@ -43,6 +43,27 @@ BYPASS_SRC_PRIORITY = 890
 TUNNEL_PRIORITY = 500
 
 
+#: ``(match, actions, priority)``: everything of a flow rule but its
+#: identity, version and counters.
+_RuleTemplate = tuple[FlowMatch, tuple[Action, ...], int]
+
+
+def _rule_templates(device: str, cluster_port: int, host: str) -> tuple[_RuleTemplate, ...]:
+    """The four rules of the scheme above for one device, in install order."""
+    controller = (Action.controller(),)
+    tunnel = (Action.tunnel(device, cluster_port, via=host),)
+    return (
+        # Returned-from-cluster packets go through the controller's
+        # forwarder: only it knows whether the *destination's* µmbox has
+        # inspected the packet yet (device-to-device traffic must visit
+        # both µmboxes; a static forward here would skip the second).
+        (FlowMatch(dst=device, in_port=cluster_port), controller, BYPASS_DST_PRIORITY),
+        (FlowMatch(src=device, in_port=cluster_port), controller, BYPASS_SRC_PRIORITY),
+        (FlowMatch(dst=device), tunnel, TUNNEL_PRIORITY),
+        (FlowMatch(src=device), tunnel, TUNNEL_PRIORITY),
+    )
+
+
 @dataclass
 class SwitchAttachment:
     """Where one device hangs: its edge switch and the relevant ports."""
@@ -78,6 +99,8 @@ class PostureOrchestrator:
         #: no packet ever sees a mix of old and new tunnel rules.
         self.updater = updater
         self._rule_specs: dict[str, list[FlowRule]] = {}
+        #: (device, cluster port, µmbox host) -> the device's rule templates
+        self._rule_templates: dict[tuple[str, int, str], tuple[_RuleTemplate, ...]] = {}
         self.tunnels = TunnelTable()
         self.current: dict[str, Posture] = {}
         self.records: list[OrchestrationRecord] = []
@@ -265,35 +288,18 @@ class PostureOrchestrator:
 
     # ------------------------------------------------------------------
     def _device_rules(self, device: str, att: SwitchAttachment) -> list[FlowRule]:
+        """Fresh rules (the updater stamps versions on them) built from
+        the device's cached immutable match/action templates."""
+        host = self.manager.host.name
+        key = (device, att.cluster_port, host)
+        templates = self._rule_templates.get(key)
+        if templates is None:
+            templates = self._rule_templates[key] = _rule_templates(
+                device, att.cluster_port, host
+            )
         return [
-            # Returned-from-cluster packets go through the controller's
-            # forwarder: only it knows whether the *destination's* µmbox has
-            # inspected the packet yet (device-to-device traffic must visit
-            # both µmboxes; a static forward here would skip the second).
-            FlowRule(
-                match=FlowMatch(dst=device, in_port=att.cluster_port),
-                actions=(Action.controller(),),
-                priority=BYPASS_DST_PRIORITY,
-            ),
-            FlowRule(
-                match=FlowMatch(src=device, in_port=att.cluster_port),
-                actions=(Action.controller(),),
-                priority=BYPASS_SRC_PRIORITY,
-            ),
-            FlowRule(
-                match=FlowMatch(dst=device),
-                actions=(
-                    Action.tunnel(device, att.cluster_port, via=self.manager.host.name),
-                ),
-                priority=TUNNEL_PRIORITY,
-            ),
-            FlowRule(
-                match=FlowMatch(src=device),
-                actions=(
-                    Action.tunnel(device, att.cluster_port, via=self.manager.host.name),
-                ),
-                priority=TUNNEL_PRIORITY,
-            ),
+            FlowRule(match=match, actions=actions, priority=priority)
+            for match, actions, priority in templates
         ]
 
     def _install_tunnel(

@@ -32,13 +32,6 @@ _LOOKUP_CACHE_MAX = 1024
 _Entry = tuple[tuple[int, int, int], FlowRule]  # (rule.sort_key(), rule)
 
 
-def _filter(bucket: list[_Entry], predicate: Callable[[FlowRule], bool]) -> int:
-    """Drop the entries whose rule satisfies ``predicate``, in place."""
-    size = len(bucket)
-    bucket[:] = [entry for entry in bucket if not predicate(entry[1])]
-    return size - len(bucket)
-
-
 class Switch(Node):
     """A flow-table switch with controller punting and version filtering."""
 
@@ -94,12 +87,40 @@ class Switch(Node):
 
     def remove_where(self, predicate: Callable[[FlowRule], bool]) -> int:
         """Remove rules satisfying ``predicate`` (and emptied buckets); returns how many."""
-        removed = _filter(self._wild, predicate)
+        return self._retain(
+            lambda bucket: [entry for entry in bucket if not predicate(entry[1])]
+        )
+
+    def remove_versions_before(self, active: int) -> int:
+        """Garbage-collect every epoch older than ``active`` (the flip's GC).
+
+        ``remove_where(lambda r: r.version is not None and r.version <
+        active)`` with the test inlined: a flip visits every installed rule.
+        """
+        return self._retain(
+            lambda bucket: [
+                entry for entry in bucket
+                if (version := entry[1].version) is None or version >= active
+            ]
+        )
+
+    def _retain(self, keep: Callable[[list[_Entry]], list[_Entry]]) -> int:
+        """Replace every bucket by ``keep(bucket)`` and drop emptied bucket
+        keys; returns how many entries went."""
+        kept = keep(self._wild)
+        removed = len(self._wild) - len(kept)
+        self._wild = kept
         for index in (self._by_dst, self._by_src):
-            for key in list(index):
-                removed += _filter(index[key], predicate)
-                if not index[key]:
-                    del index[key]
+            emptied = []
+            for key, bucket in index.items():
+                kept = keep(bucket)
+                removed += len(bucket) - len(kept)
+                if kept:
+                    index[key] = kept
+                else:
+                    emptied.append(key)
+            for key in emptied:
+                del index[key]
         if removed:
             self._lookup_cache.clear()
         return removed

@@ -38,7 +38,10 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from collections import deque
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 __all__ = ["Journal", "JournalEntry"]
@@ -96,6 +99,10 @@ def _raw_as_dict(raw: tuple) -> dict[str, Any]:
         "trace_id": raw[4],
         "fields": dict(raw[5]),
     }
+
+
+def _last_seq(segment: list[tuple]) -> int:
+    return segment[-1][0]
 
 
 class Journal:
@@ -318,16 +325,20 @@ class Journal:
         The write-ahead-log read path: entries older than the retention
         ring are gone (evicted/spilled), so callers checkpoint often
         enough that the tail past their checkpoint is still retained.
+        Segments are appended in seq order, so the tail is a bisect into
+        the first segment that reaches past ``seq`` plus every later one.
         """
-        out = []
-        for segment in reversed(self._segments):
-            if segment and segment[-1][0] <= seq:
-                break
-            for raw in segment:
-                if raw[0] > seq:
-                    out.append(raw)
-        out.sort(key=lambda raw: raw[0])
-        return [JournalEntry(*raw) for raw in out]
+        if seq >= self.last_seq:
+            return []
+        # Every retained segment is non-empty once anything is recorded.
+        segments = self._segments
+        first = bisect_right(segments, seq, key=_last_seq)
+        head = segments[first]
+        tail = chain(
+            islice(head, bisect_right(head, seq, key=itemgetter(0)), None),
+            *islice(segments, first + 1, None),
+        )
+        return [JournalEntry(*raw) for raw in tail]
 
     def __iter__(self) -> Iterator[JournalEntry]:
         for segment in self._segments:

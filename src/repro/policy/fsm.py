@@ -100,6 +100,10 @@ class PolicyFSM:
         self.space = StateSpace(domains)
         self.rules: list[PostureRule] = sorted(rules, key=PostureRule.sort_key)
         self.default_posture = default_posture
+        #: Bumped by every mutation (``add_rule`` is the only one), so
+        #: derived forms -- the serialized policy -- can be memoized per
+        #: ``(policy, revision)``.
+        self.revision = 0
         self._rules_by_device: dict[str, list[PostureRule]] | None = None
         known = {
             v.name for v in self.space.variables() if v.kind == "ctx"
@@ -132,6 +136,7 @@ class PolicyFSM:
     def add_rule(self, rule: PostureRule) -> None:
         self.rules.append(rule)
         self.rules.sort(key=PostureRule.sort_key)
+        self.revision += 1
         self._rules_by_device = None
         if rule.device not in self.devices:
             self.devices = tuple(sorted({*self.devices, rule.device}))

@@ -20,12 +20,17 @@ the FSM abstraction::
 
 Round-trip guarantee: ``loads(dumps(policy))`` evaluates identically to
 ``policy`` on every state (tested, including property-based).
+
+Serializing a policy is memoized per ``(policy, policy.revision)``: the
+HA checkpointer captures the policy every tick, but it only changes when
+a rule is added.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Any, Mapping
+from weakref import WeakKeyDictionary
 
 from repro.policy.context import ContextDomain, Variable
 from repro.policy.fsm import PolicyFSM, PostureRule, StatePredicate
@@ -65,7 +70,38 @@ def posture_from_dict(data: Mapping[str, Any]) -> Posture:
 # ----------------------------------------------------------------------
 # Policies
 # ----------------------------------------------------------------------
+def canonical_json(data: Any) -> str:
+    """The canonical JSON form content digests hash: sorted keys, no spaces."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+#: policy -> [revision, serialized dict, its canonical JSON or None until
+#: first asked for].  Weakly keyed: an entry belongs to one policy object
+#: and dies with it.
+_ENCODED: "WeakKeyDictionary[PolicyFSM, list[Any]]" = WeakKeyDictionary()
+
+
+def _encoded(policy: PolicyFSM) -> list[Any]:
+    memo = _ENCODED.get(policy)
+    if memo is None or memo[0] != policy.revision:
+        memo = _ENCODED[policy] = [policy.revision, _policy_dict(policy), None]
+    return memo
+
+
 def policy_to_dict(policy: PolicyFSM) -> dict[str, Any]:
+    """The serialized policy, memoized per revision: treat it as read-only."""
+    return _encoded(policy)[1]
+
+
+def policy_canonical_json(policy: PolicyFSM) -> str:
+    """``canonical_json(policy_to_dict(policy))``, memoized per revision."""
+    memo = _encoded(policy)
+    if memo[2] is None:
+        memo[2] = canonical_json(memo[1])
+    return memo[2]
+
+
+def _policy_dict(policy: PolicyFSM) -> dict[str, Any]:
     return {
         "domains": {
             d.variable.key: list(d.values) for d in policy.space.domains

@@ -170,11 +170,9 @@ class ConsistentUpdater:
                     # stale epochs that were superseded before activating).
                     if sw.active_version is None or version > sw.active_version:
                         sw.set_active_version(version)
-                    active = sw.active_version
-                    removed = sw.remove_where(
-                        lambda r: r.version is not None and r.version < active
+                    report.rules_removed += sw.remove_versions_before(
+                        sw.active_version
                     )
-                    report.rules_removed += removed
                     done()
 
                 self._send_and_apply(switch, make_flip)

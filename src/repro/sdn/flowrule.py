@@ -46,16 +46,15 @@ class FlowMatch:
 
     def specificity(self) -> int:
         """Number of concrete (non-wildcard) fields; used for tie-breaking."""
-        return sum(
-            value is not None
-            for value in (
-                self.src,
-                self.dst,
-                self.protocol,
-                self.sport,
-                self.dport,
-                self.in_port,
-            )
+        # Spelled out, not summed over a generator: every FlowRule
+        # construction (each rule of every epoch) computes it.
+        return (
+            (self.src is not None)
+            + (self.dst is not None)
+            + (self.protocol is not None)
+            + (self.sport is not None)
+            + (self.dport is not None)
+            + (self.in_port is not None)
         )
 
     def overlaps(self, other: "FlowMatch") -> bool:

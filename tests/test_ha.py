@@ -12,12 +12,16 @@ The contract under test:
   endpoint name and never *lowers* a device's defenses while reconciling.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.deployment import SecuredDeployment
 from repro.core.ha import CHECKPOINT_VERSION, Checkpoint, CheckpointStore
 from repro.devices.library import smart_camera, smart_plug
-from repro.policy.posture import block_commands
+from repro.policy.fsm import PostureRule, StatePredicate
+from repro.policy.posture import block_commands, quarantine
 
 
 def make_dep(sim=None, **kwargs):
@@ -99,6 +103,80 @@ class TestCheckpointDeterminism:
         data["version"] = CHECKPOINT_VERSION + 1
         with pytest.raises(ValueError):
             Checkpoint.from_dict(data)
+
+
+def reference_digest(checkpoint):
+    """The digest's definition: sha256 over the whole dict, encoded at once."""
+    canonical = json.dumps(checkpoint.as_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def quarantine_rule(device, context="compromised"):
+    return PostureRule(
+        predicate=StatePredicate.make({f"ctx:{device}": context}),
+        device=device,
+        posture=quarantine(device),
+        priority=500,
+    )
+
+
+class TestMemoizedCheckpoints:
+    """Checkpoints reuse the policy's per-revision encoding; the bytes
+    they hash and the rules they carry are those of a fresh encoding."""
+
+    def test_digest_matches_whole_dict_encoding(self):
+        dep = make_dep(standby=True, heartbeat_period=0.25, failover_timeout=1.0, ha_seed=7)
+        dep.checkpoint_store.keep = 1000  # keep every tick's checkpoint
+        dep.sim.schedule_at(3.5, dep.controller.update_policy, quarantine_rule("cam"))
+        drive(dep)
+        captured = list(dep.checkpoint_store)
+        revisions = {len(cp.policy["rules"]) for cp in captured}
+        assert len(captured) >= 7 and len(revisions) == 2  # before and after the rule
+        # The standby's copy arrived over the channel and was rebuilt by
+        # from_dict: it hashes like the primary's original.
+        standby = dep.standby_controller.checkpoint
+        original = {cp.seq: cp for cp in captured}[standby.seq]
+        assert standby.digest() == original.digest()
+        rebuilt = [Checkpoint.from_dict(cp.as_dict()) for cp in captured]
+        for cp in [*captured, *rebuilt, standby]:
+            assert cp.digest() == reference_digest(cp)
+        assert [cp.digest() for cp in rebuilt] == [cp.digest() for cp in captured]
+
+    def test_runtime_rule_invalidates_the_memo(self):
+        dep = SecuredDeployment.build(consistent_updates=True, checkpointing=True)
+        dep.add_device(smart_camera, "cam")
+        dep.finalize()
+        dep.run(until=1.0)
+        policy = dep.controller.policy
+        before = Checkpoint.capture(dep.controller)
+        assert Checkpoint.capture(dep.controller).policy is before.policy  # memo hit
+        revision = policy.revision
+        dep.controller.update_policy(quarantine_rule("cam", context="suspicious"))
+        assert policy.revision == revision + 1
+        dep.run(until=6.0)  # a periodic tick captures after the rule
+
+        checkpoint = dep.checkpoint_store.latest()
+        assert checkpoint.seq > dep.sim.journal.entries(kind="policy-update")[-1].seq
+        assert checkpoint.digest() != before.digest()
+        assert checkpoint.digest() == reference_digest(checkpoint)
+        added = [r for r in checkpoint.policy["rules"] if r["priority"] == 500]
+        assert [(r["device"], r["when"], r["posture"]["name"]) for r in added] == [
+            ("cam", {"ctx:cam": "suspicious"}, "quarantine")
+        ]
+
+        # The restored controller gets the rule from the checkpoint alone
+        # (the policy-update entry predates it, so the WAL tail replays no
+        # rule) and enforces its posture.
+        dep.crash_controller()
+        dep.restart_controller()
+        restart = dep.sim.journal.entries(kind="controller-restart")[-1]
+        assert restart.fields["checkpoint_seq"] == checkpoint.seq
+        assert dep.orchestrator.current.get("cam") is None or (
+            dep.orchestrator.current["cam"].is_permissive
+        )
+        dep.controller.set_context("cam", "suspicious")
+        dep.run(until=7.0)
+        assert dep.orchestrator.current["cam"].name == "quarantine"
 
 
 class TestCheckpointStore:

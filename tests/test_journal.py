@@ -234,6 +234,52 @@ class TestQueries:
         assert dumped[3]["fields"]["posture"] == "block-commands"
 
 
+class TestEntriesSince:
+    """The WAL tail read agrees with a brute-force filter of the ring."""
+
+    @staticmethod
+    def _brute(journal, seq):
+        return [(e.seq, e.at, e.kind, e.fields) for e in journal if e.seq > seq]
+
+    @pytest.mark.parametrize("segment_size,max_segments", [(1, 1), (1, 3), (3, 2), (4, 4)])
+    def test_matches_filter_across_eviction_and_boundaries(self, segment_size, max_segments):
+        state = {"now": 0.0}
+        journal = Journal(
+            clock=lambda: state["now"], segment_size=segment_size, max_segments=max_segments
+        )
+        assert journal.entries_since(0) == []
+        for i in range(1, 3 * segment_size * max_segments + 2):
+            state["now"] = float(i)
+            journal.record("e", i=i)
+            # Every cut: before the ring, inside and at the edges of each
+            # retained segment, at the head and past it.
+            for seq in range(-1, journal.last_seq + 2):
+                got = [(e.seq, e.at, e.kind, e.fields) for e in journal.entries_since(seq)]
+                assert got == self._brute(journal, seq), (i, seq)
+
+    def test_matches_filter_with_spill_error_records(self):
+        """Failed spills journal ``spill-error`` records from inside
+        eviction; the ring stays in seq order and the tail still agrees."""
+        journal = Journal(
+            clock=lambda: 0.0,
+            segment_size=2,
+            max_segments=2,
+            spill_path="/nonexistent-dir/never/spill.jsonl",
+        )
+        for i in range(30):
+            journal.record("e", i=i)
+            for seq in range(journal.last_seq + 1):
+                got = [(e.seq, e.kind, e.fields) for e in journal.entries_since(seq)]
+                want = [(s, k, f) for s, __, k, f in self._brute(journal, seq)]
+                assert got == want
+        assert journal.entries(kind="spill-error")
+
+    def test_disabled_journal_has_no_tail(self):
+        journal = Journal(clock=lambda: 0.0, enabled=False)
+        journal.record("e")
+        assert journal.entries_since(0) == []
+
+
 class TestSimulatorIntegration:
     def test_simulator_owns_a_simtime_journal(self):
         sim = Simulator()

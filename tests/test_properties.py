@@ -167,6 +167,41 @@ def test_switch_lookup_matches_sorted_scan(ops, probes):
 
 
 # ----------------------------------------------------------------------
+# Switch: the epoch flip's version GC is remove_where with the test inlined
+# ----------------------------------------------------------------------
+def _buckets(switch):
+    return (switch._wild, switch._by_dst, switch._by_src)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(flow_rules(), max_size=6), max_size=6),
+    versions,
+    st.integers(min_value=0, max_value=5),
+    st.lists(st.tuples(packets(), st.sampled_from([0, 1])), min_size=1, max_size=6),
+)
+def test_version_gc_matches_remove_where(batches, live, active, probes):
+    gc, reference = Switch("gc", Simulator()), Switch("ref", Simulator())
+    for switch in (gc, reference):
+        for batch in batches:
+            switch.install_many(batch)
+        switch.set_active_version(live)
+        for packet, in_port in probes:  # warm the megaflow cache
+            switch.lookup(packet, in_port)
+    removed = gc.remove_versions_before(active)
+    assert removed == reference.remove_where(
+        lambda r: r.version is not None and r.version < active
+    )
+    assert _buckets(gc) == _buckets(reference)
+    assert all(gc._by_dst.values()) and all(gc._by_src.values())
+    if removed:
+        assert not gc._lookup_cache
+    assert gc.table_size() == reference.table_size()
+    for packet, in_port in probes:
+        assert gc.lookup(packet, in_port) is reference.lookup(packet, in_port)
+
+
+# ----------------------------------------------------------------------
 # StatePredicate: same laws at the policy level
 # ----------------------------------------------------------------------
 VAR_KEYS = ["ctx:a", "ctx:b", "env:x"]
