@@ -17,72 +17,12 @@ from __future__ import annotations
 
 from _util import print_table, record
 
-from repro.attacks.scenarios import fig3_break_in
-from repro.core.deployment import SecuredDeployment
-from repro.devices.library import (
-    FIREALARM_BACKDOOR_PORT,
-    fire_alarm,
-    window_actuator,
-)
-from repro.learning.repository import CrowdRepository
-from repro.learning.signatures import backdoor_signature
-from repro.policy.builder import PolicyBuilder
+from repro.faults.campaign_library import physically_breached, run_paper_campaign
 from repro.policy.context import SUSPICIOUS
-from repro.policy.ifttt import Recipe
-from repro.policy.posture import MboxSpec, Posture, block_commands
-
-
-def fig3_policy():
-    return (
-        PolicyBuilder()
-        .device("fire_alarm")
-        .device("window")
-        .env("smoke", ("clear", "detected"))
-        .when("ctx:fire_alarm", SUSPICIOUS)
-        .give("window", block_commands("open", name="block-open-fw"), priority=200)
-        .when("ctx:window", SUSPICIOUS)
-        .give(
-            "window",
-            Posture.make(
-                "robot-check-fw",
-                MboxSpec.make("source_filter", allowed_sources=["hub", "controller"]),
-            ),
-            priority=250,
-        )
-        .build()
-    )
 
 
 def run(protect: bool) -> dict:
-    dep = SecuredDeployment.build()
-    dep.policy = fig3_policy()
-    fa = dep.add_device(fire_alarm, "fire_alarm")
-    win = dep.add_device(window_actuator, "window")
-    attacker = dep.add_attacker()
-    dep.finalize()
-    dep.hub.add_recipe(Recipe("ventilate", "dev:fire_alarm", "alarm", "window", "open"))
-    dep.hub.watch_devices(
-        lambda name: dep.devices[name].state if name in dep.devices else None
-    )
-    if protect:
-        repo = CrowdRepository(dep.sim)
-        repo.publish(
-            backdoor_signature(fa.sku, FIREALARM_BACKDOOR_PORT), reporter="other-site"
-        )
-        dep.attach_repository(repo)
-        dep.enforce_baseline()
-    campaign = fig3_break_in(
-        attacker,
-        dep.sim,
-        fire_alarm="fire_alarm",
-        window="window",
-        window_is_open=lambda: win.state == "open",
-        backdoor_at=5.0,
-        brute_force_at=30.0,
-    )
-    campaign.launch(dep.sim, until=120.0)
-    dep.run(until=120.0)
-
+    dep, runner = run_paper_campaign("fig3-break-in", protect)
     reactions = (
         [
             {
@@ -99,9 +39,9 @@ def run(protect: bool) -> dict:
         else []
     )
     return {
-        "breached": campaign.succeeded(),
-        "window_state": win.state,
-        "alarm_state": fa.state,
+        "breached": physically_breached(dep),
+        "window_state": dep.devices["window"].state,
+        "alarm_state": dep.devices["fire_alarm"].state,
         "fa_context": dep.controller.context_of("fire_alarm") if dep.controller else "-",
         "win_context": dep.controller.context_of("window") if dep.controller else "-",
         "window_posture": (
@@ -110,7 +50,7 @@ def run(protect: bool) -> dict:
             else "-"
         ),
         "reactions": reactions,
-        "stages": campaign.stage_results(),
+        "stages": {name: r.succeeded for name, r in runner.exploit_results.items()},
     }
 
 

@@ -35,11 +35,9 @@ from _util import percent, print_table, record
 
 from repro.attacks.exploits import EXPLOITS
 from repro.core.deployment import SecuredDeployment
-from repro.core.orchestrator import build_recommended_posture
-from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
+from repro.core.fleet import add_e9_fleet, e9_posture
 from repro.netsim.simulator import Simulator
 
-FACTORY_CYCLE = [smart_camera, smart_plug, thermostat, smart_bulb]
 N_DEVICES = 20
 UNTIL = 1800.0
 REPEATS = 7
@@ -52,25 +50,11 @@ def run_workload(observe: bool) -> dict:
     # window); with observe=False it must be a strict no-op (no timer,
     # no gauges -- the null-instrument guarantee).
     dep = SecuredDeployment.build(sim=sim, health=True)
-    trusted = (dep.HUB, dep.CONTROLLER)
-    for i in range(N_DEVICES):
-        factory = FACTORY_CYCLE[i % len(FACTORY_CYCLE)]
-        device = dep.add_device(factory, f"dev{i}", report_to="hub", telemetry_period=20.0)
-        device.start_telemetry()
+    add_e9_fleet(dep, N_DEVICES)
     attacker = dep.add_attacker()
     dep.finalize()
-    for i in range(N_DEVICES):
-        name = f"dev{i}"
-        device = dep.devices[name]
-        if "exposed-credentials" in device.firmware.flaw_classes():
-            posture = build_recommended_posture("password_proxy", name)
-        elif device.firmware.flaw_classes() & {"backdoor", "exposed-access"}:
-            posture = build_recommended_posture(
-                "stateful_firewall", name, trusted_sources=trusted
-            )
-        else:
-            posture = build_recommended_posture("monitor", name, sku=device.sku)
-        dep.secure(name, posture)
+    for name in dep.devices:
+        dep.secure(name, e9_posture(dep, name))
 
     EXPLOITS["default_credential_hijack"].launch(attacker, "dev0", dep.sim)
     EXPLOITS["backdoor_command"].launch(

@@ -39,6 +39,10 @@ import random
 import sys
 
 
+def _arm(protect: bool) -> str:
+    return "IoTSec" if protect else "current world"
+
+
 def _demo_fig4(protect: bool) -> None:
     from repro import SecuredDeployment, build_recommended_posture
     from repro.attacks.exploits import EXPLOITS
@@ -58,47 +62,21 @@ def _demo_fig4(protect: bool) -> None:
         attacker, "cam", dep.sim, resource="image"
     )
     dep.run(until=30.0)
-    arm = "IoTSec" if protect else "current world"
-    print(f"[fig4 / {arm}] hijack={result.succeeded} loot={len(attacker.loot_from('cam'))}")
+    print(
+        f"[fig4 / {_arm(protect)}] hijack={result.succeeded}"
+        f" loot={len(attacker.loot_from('cam'))}"
+    )
     if protect:
         print(summarize(dep).render())
 
 
 def _demo_fig5(protect: bool) -> None:
-    from repro import SecuredDeployment
-    from repro.attacks.exploits import EXPLOITS
     from repro.core.metrics import summarize
-    from repro.devices.library import WEMO_BACKDOOR_PORT, smart_camera, smart_plug
-    from repro.policy.posture import MboxSpec, Posture
+    from repro.faults.campaign_library import run_paper_campaign
 
-    dep = SecuredDeployment.build()
-    dep.add_device(smart_camera, "cam")
-    dep.add_device(smart_plug, "wemo", load={"hazard": 1.0})
-    attacker = dep.add_attacker()
-    dep.finalize()
-    if protect:
-        dep.secure(
-            "wemo",
-            Posture.make(
-                "occupancy-gate",
-                MboxSpec.make(
-                    "context_gate", commands=["on"], require={"env:occupancy": "present"}
-                ),
-            ),
-        )
-    holder: dict = {}
-    dep.sim.schedule(
-        1.0,
-        lambda: holder.update(
-            r=EXPLOITS["backdoor_command"].launch(
-                attacker, "wemo", dep.sim, backdoor_port=WEMO_BACKDOOR_PORT, command="on"
-            )
-        ),
-    )
-    dep.run(until=300.0)
-    arm = "IoTSec" if protect else "current world"
+    dep, _ = run_paper_campaign("oven-arson", protect)
     print(
-        f"[fig5 / {arm}] oven={dep.devices['wemo'].state}"
+        f"[fig5 / {_arm(protect)}] oven={dep.devices['oven_plug'].state}"
         f" smoke={dep.env.level('smoke')}"
     )
     if protect:
@@ -106,87 +84,26 @@ def _demo_fig5(protect: bool) -> None:
 
 
 def _demo_fig3(protect: bool) -> None:
-    from repro import SecuredDeployment
-    from repro.attacks.scenarios import fig3_break_in
     from repro.core.metrics import summarize
-    from repro.devices.library import (
-        FIREALARM_BACKDOOR_PORT,
-        fire_alarm,
-        window_actuator,
-    )
-    from repro.learning.repository import CrowdRepository
-    from repro.learning.signatures import backdoor_signature
-    from repro.policy.builder import PolicyBuilder
-    from repro.policy.context import SUSPICIOUS
-    from repro.policy.ifttt import Recipe
-    from repro.policy.posture import block_commands
+    from repro.faults.campaign_library import physically_breached, run_paper_campaign
 
-    dep = SecuredDeployment.build()
-    dep.policy = (
-        PolicyBuilder()
-        .device("fire_alarm")
-        .device("window")
-        .when("ctx:fire_alarm", SUSPICIOUS)
-        .give("window", block_commands("open", name="block-open"), priority=200)
-        .build()
+    dep, _ = run_paper_campaign("fig3-break-in", protect)
+    print(
+        f"[fig3 / {_arm(protect)}] breached={physically_breached(dep)}"
+        f" window={dep.devices['window'].state}"
     )
-    alarm = dep.add_device(fire_alarm, "fire_alarm")
-    window = dep.add_device(window_actuator, "window")
-    attacker = dep.add_attacker()
-    dep.finalize()
-    dep.hub.add_recipe(Recipe("ventilate", "dev:fire_alarm", "alarm", "window", "open"))
-    dep.hub.watch_devices(lambda n: dep.devices[n].state if n in dep.devices else None)
-    if protect:
-        repo = CrowdRepository(dep.sim)
-        repo.publish(backdoor_signature(alarm.sku, FIREALARM_BACKDOOR_PORT), reporter="crowd")
-        dep.attach_repository(repo)
-        dep.enforce_baseline()
-    campaign = fig3_break_in(
-        attacker, dep.sim, window_is_open=lambda: window.state == "open"
-    )
-    campaign.launch(dep.sim, until=120.0)
-    dep.run(until=120.0)
-    arm = "IoTSec" if protect else "current world"
-    print(f"[fig3 / {arm}] breached={campaign.succeeded()} window={window.state}")
     if protect:
         print(summarize(dep).render())
 
 
 def _demo_thermal(protect: bool) -> None:
-    from repro import SecuredDeployment
-    from repro.attacks.scenarios import thermal_break_in
-    from repro.devices.library import smart_plug, window_actuator
-    from repro.environment.physics import ThermalProcess
-    from repro.learning.repository import CrowdRepository
-    from repro.learning.signatures import backdoor_signature
-    from repro.policy.ifttt import Recipe
+    from repro.faults.campaign_library import physically_breached, run_paper_campaign
 
-    dep = SecuredDeployment.build()
-    ac = dep.add_device(smart_plug, "ac_plug", load={"cool_watts": 700.0})
-    window = dep.add_device(window_actuator, "window")
-    attacker = dep.add_attacker()
-    dep.finalize()
-    for i, process in enumerate(dep.env.processes):
-        if isinstance(process, ThermalProcess):
-            dep.env.processes[i] = ThermalProcess(outside=35.0)
-    ac.apply_command("on", src="hub", via="local")
-    dep.hub.add_recipe(Recipe("cool-down", "env:temperature", "high", "window", "open"))
-    if protect:
-        repo = CrowdRepository(dep.sim)
-        repo.publish(
-            backdoor_signature(ac.sku, ac.firmware.backdoor_port), reporter="crowd"
-        )
-        dep.attach_repository(repo)
-        dep.enforce_baseline()
-    campaign = thermal_break_in(
-        attacker, dep.sim, window_is_open=lambda: window.state == "open"
-    )
-    campaign.launch(dep.sim, until=1200.0)
-    dep.run(until=1200.0)
-    arm = "IoTSec" if protect else "current world"
+    dep, _ = run_paper_campaign("thermal-break-in", protect)
     print(
-        f"[thermal / {arm}] ac={ac.state} temp={dep.env.level('temperature')}"
-        f" window={window.state} breached={campaign.succeeded()}"
+        f"[thermal / {_arm(protect)}] ac={dep.devices['ac_plug'].state}"
+        f" temp={dep.env.level('temperature')} window={dep.devices['window'].state}"
+        f" breached={physically_breached(dep)}"
     )
 
 
@@ -249,6 +166,12 @@ def cmd_model_audit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _too_few_sites(sites: int, least: int) -> int:
+    """A usage error like a malformed chaos plan: one line, exit 2."""
+    print(f"error: --sites must be at least {least} (got {sites})", file=sys.stderr)
+    return 2
+
+
 def cmd_fleet(args: argparse.Namespace) -> int:
     """The federation story: one victim site buys fleet immunity."""
     from repro.attacks.exploits import EXPLOITS
@@ -260,6 +183,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.netsim.simulator import Simulator
     from repro.policy.posture import MboxSpec, Posture
 
+    if args.sites < 1:
+        return _too_few_sites(args.sites, 1)
     sim = Simulator()
     repo = CrowdRepository(sim, free_rider_delay=5.0, base_delay=1.0)
     posture = Posture.make(
@@ -317,6 +242,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 def cmd_federation(args: argparse.Namespace) -> int:
     """The multi-site control plane: blackout drill or parallel scale run."""
+    least = 1 if args.scale else 2
+    if args.sites < least:
+        return _too_few_sites(args.sites, least)
     if args.scale:
         from repro.federation import run_federation, shard_fleet
 

@@ -53,7 +53,7 @@ from repro.sdn.channel import ControlChannel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.learning.repository import CrowdRepository
     from repro.obs.health import HealthPlane
-    from repro.obs.stream import HostStream, StreamConfig
+    from repro.obs.stream import HostStream
 
 
 def default_home_environment(sim: Simulator, tick: float = 1.0) -> Environment:
@@ -107,13 +107,11 @@ class SecuredDeployment:
         policy: PolicyFSM | None = None,
         with_iotsec: bool = True,
         channel_latency: float = 0.002,
-        env_tick: float = 1.0,
         consistent_updates: bool = False,
         reliable_control: bool = False,
         health_check_period: float | None = None,
         ingest: IngestConfig | None = None,
         durable_telemetry: bool = False,
-        stream_config: "StreamConfig | None" = None,
         checkpointing: bool = False,
         checkpoint_period: float = 5.0,
         standby: bool = False,
@@ -144,7 +142,6 @@ class SecuredDeployment:
         #: and telemetry survive partitions (replayed in order) instead
         #: of vanishing with the wire.
         self.durable_telemetry = durable_telemetry
-        self.stream_config = stream_config
         self.host_stream: "HostStream | None" = None
         self.checkpointing = checkpointing
         self.checkpoint_period = checkpoint_period
@@ -173,7 +170,7 @@ class SecuredDeployment:
         self.topology.connect(self.edge, self.internet, latency=0.010)
         self.topology.connect(self.edge, self.hub, latency=0.002)
 
-        self.env = default_home_environment(self.sim, tick=env_tick)
+        self.env = default_home_environment(self.sim)
         self.hub.watch_environment(self.env)
 
         self.devices: dict[str, IoTDevice] = {}
@@ -339,7 +336,6 @@ class SecuredDeployment:
                 host=self.CLUSTER,
                 channel=self.channel,
                 controller=self.CONTROLLER,
-                config=self.stream_config,
             )
             self.cluster.attach_stream(self.host_stream)
         self.controller.adopt_packet_in(self.edge)

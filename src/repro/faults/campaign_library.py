@@ -30,12 +30,32 @@ Enforcing classes (:data:`ENFORCING_CLASSES`) must finish with zero
 containment misses -- the hard E16 regression gate.  Fabric campaigns
 are gated on producing real degradation evidence (sinkholed/bypassed
 packets, outages, ``chain-repin``) while still containing by horizon.
+
+The paper's own narratives live in :data:`PAPER_CAMPAIGNS`, each with
+its own home builder (:data:`PAPER_HOMES`): Fig. 3's fire-alarm/window
+break-in, section 2.1's plug -> heat -> window breach and Fig. 5's oven
+arson.  They need their figure's devices and automation, not the
+standard home, so they stay out of :data:`CAMPAIGNS` (whose corpus and
+golden digest they would otherwise change).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
+from repro.core.deployment import SecuredDeployment
+from repro.core.orchestrator import build_recommended_posture
+from repro.devices.library import (
+    cctv_camera,
+    door_lock,
+    fire_alarm,
+    set_top_box,
+    smart_camera,
+    smart_meter,
+    smart_plug,
+    window_actuator,
+)
+from repro.environment.physics import ThermalProcess
 from repro.faults.campaign import (
     Campaign,
     CampaignRunner,
@@ -46,19 +66,31 @@ from repro.faults.campaign import (
     score_campaign,
 )
 from repro.faults.chaos import ChaosGenerator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.deployment import SecuredDeployment
+from repro.learning.repository import CrowdRepository
+from repro.learning.signatures import backdoor_signature, dns_amplification_signature
+from repro.netsim.node import Host
+from repro.policy.builder import PolicyBuilder
+from repro.policy.context import SUSPICIOUS
+from repro.policy.ifttt import Recipe
+from repro.policy.posture import MboxSpec, Posture, block_commands
 
 __all__ = [
     "ENFORCING_CLASSES",
     "CAMPAIGNS",
+    "PAPER_CAMPAIGNS",
+    "PAPER_HOMES",
+    "build_fig3_home",
     "build_home",
     "build_library",
+    "build_oven_home",
+    "build_thermal_home",
     "campaigns_by_class",
+    "fig3_policy",
     "get_campaign",
+    "physically_breached",
     "run_campaign",
     "run_class",
+    "run_paper_campaign",
 ]
 
 #: Classes whose campaigns must end fully contained (the hard CI gate).
@@ -77,7 +109,7 @@ HEALTH_PERIOD = 0.5
 # ----------------------------------------------------------------------
 # The standard home
 # ----------------------------------------------------------------------
-def build_home(health: bool = True) -> "SecuredDeployment":
+def build_home(health: bool = True) -> SecuredDeployment:
     """One protected home every campaign runs against.
 
     Defense configuration mirrors the resilient arm of the standard
@@ -87,26 +119,6 @@ def build_home(health: bool = True) -> "SecuredDeployment":
     storms are caught by the monitor posture's login monitor via the
     controller's escalation window.
     """
-    from repro.core.deployment import SecuredDeployment
-    from repro.core.orchestrator import build_recommended_posture
-    from repro.devices.library import (
-        cctv_camera,
-        door_lock,
-        fire_alarm,
-        set_top_box,
-        smart_camera,
-        smart_meter,
-        smart_plug,
-        window_actuator,
-    )
-    from repro.learning.repository import CrowdRepository
-    from repro.learning.signatures import (
-        backdoor_signature,
-        dns_amplification_signature,
-    )
-    from repro.netsim.node import Host
-    from repro.policy.ifttt import Recipe
-
     dep = SecuredDeployment.build(
         consistent_updates=True,
         reliable_control=True,
@@ -585,6 +597,184 @@ def get_campaign(name: str) -> Campaign:
 
 def campaigns_by_class(campaign_class: str) -> list[Campaign]:
     return [c for c in CAMPAIGNS.values() if c.campaign_class == campaign_class]
+
+
+# ----------------------------------------------------------------------
+# The paper's narratives, each with its own home
+# ----------------------------------------------------------------------
+def fig3_policy():
+    """Fig. 3's FSM: a suspicious FireAlarm blocks the window's "open"; a
+    suspicious window admits only the hub and controller (robot check)."""
+    return (
+        PolicyBuilder()
+        .device("fire_alarm")
+        .device("window")
+        .env("smoke", ("clear", "detected"))
+        .when("ctx:fire_alarm", SUSPICIOUS)
+        .give("window", block_commands("open", name="block-open-fw"), priority=200)
+        .when("ctx:window", SUSPICIOUS)
+        .give(
+            "window",
+            Posture.make(
+                "robot-check-fw",
+                MboxSpec.make("source_filter", allowed_sources=["hub", "controller"]),
+            ),
+            priority=250,
+        )
+        .build()
+    )
+
+
+def _crowd_backdoor_signature(dep: SecuredDeployment, device: str) -> None:
+    """Feed the site another site's signature for ``device``'s backdoor."""
+    node = dep.devices[device]
+    repository = CrowdRepository(dep.sim)
+    repository.publish(
+        backdoor_signature(node.sku, node.firmware.backdoor_port),
+        reporter="another-site",
+    )
+    dep.attach_repository(repository)
+
+
+def build_fig3_home(protect: bool) -> SecuredDeployment:
+    """Fig. 3's FireAlarm + Window home, ventilate recipe included."""
+    dep = SecuredDeployment.build()
+    dep.policy = fig3_policy()
+    dep.add_device(fire_alarm, "fire_alarm")
+    dep.add_device(window_actuator, "window")
+    dep.add_attacker()
+    dep.finalize()
+    dep.hub.add_recipe(Recipe("ventilate", "dev:fire_alarm", "alarm", "window", "open"))
+    dep.hub.watch_devices(lambda name: getattr(dep.devices.get(name), "state", None))
+    if protect:
+        _crowd_backdoor_signature(dep, "fire_alarm")
+        dep.enforce_baseline()
+    return dep
+
+
+def build_thermal_home(protect: bool) -> SecuredDeployment:
+    """Section 2.1's home in a heat wave: the AC plug keeps it cool."""
+    dep = SecuredDeployment.build()
+    ac = dep.add_device(smart_plug, "ac_plug", load={"cool_watts": 700.0})
+    dep.add_device(window_actuator, "window")
+    dep.add_attacker()
+    dep.finalize()
+    # A heat wave: without the AC running, the room overheats.
+    processes = dep.env.processes
+    for i, process in enumerate(processes):
+        if isinstance(process, ThermalProcess):
+            processes[i] = ThermalProcess(outside=35.0)
+    dep.env.continuous("temperature").set(21.0)
+    ac.apply_command("on", src="hub", via="local")
+    dep.hub.add_recipe(Recipe("cool-down", "env:temperature", "high", "window", "open"))
+    if protect:
+        _crowd_backdoor_signature(dep, "ac_plug")
+        dep.enforce_baseline()
+    return dep
+
+
+def build_oven_home(protect: bool, occupied: bool = False) -> SecuredDeployment:
+    """Fig. 5's oven plug and fire alarm; protected, "on" needs somebody home."""
+    dep = SecuredDeployment.build()
+    dep.add_device(smart_plug, "oven_plug", load={"hazard": 1.0, "heat_watts": 2000.0})
+    dep.add_device(fire_alarm, "alarm", with_backdoor=False)
+    dep.add_attacker()
+    dep.finalize()
+    if occupied:
+        dep.env.discrete("occupancy").set("present")
+    if protect:
+        dep.secure(
+            "oven_plug",
+            Posture.make(
+                "occupancy-gate",
+                MboxSpec.make(
+                    "context_gate", commands=["on"], require={"env:occupancy": "present"}
+                ),
+            ),
+        )
+    return dep
+
+
+def _paper_campaigns() -> list[Campaign]:
+    return [
+        Campaign(
+            "fig3-break-in",
+            "automation-abuse",
+            description="Fig. 3: backdoor the FireAlarm into its alarm state so "
+            "the ventilate recipe opens the window; the fallback transition "
+            "brute-forces the window's password directly.",
+            seed=501,
+            horizon=120.0,
+            stages=(
+                S("firealarm_backdoor", 5.0, "exploit",
+                  {"exploit": "backdoor_command",
+                   "backdoor_port": FIREALARM_BACKDOOR, "command": "test"},
+                  target="fire_alarm"),
+                S("window_brute_force", 30.0, "exploit",
+                  {"exploit": "brute_force_login", "command": "open"},
+                  target="window"),
+            ),
+        ),
+        Campaign(
+            "thermal-break-in",
+            "automation-abuse",
+            description="Section 2.1: one backdoor packet turns the AC plug off; "
+            "the heat wave and the cool-down recipe open the window without "
+            "the window ever receiving attacker traffic.",
+            seed=502,
+            horizon=1200.0,
+            stages=(
+                S("plug_backdoor_off", 10.0, "exploit",
+                  {"exploit": "backdoor_command", "backdoor_port": WEMO_BACKDOOR,
+                   "command": "off"},
+                  target="ac_plug"),
+            ),
+        ),
+        Campaign(
+            "oven-arson",
+            "automation-abuse",
+            description="Fig. 5's hazard: remotely power the oven while nobody "
+            "is home and let the smoke trip the fire alarm.",
+            seed=503,
+            horizon=600.0,
+            stages=(
+                S("oven_plug_backdoor_on", 10.0, "exploit",
+                  {"exploit": "backdoor_command", "backdoor_port": WEMO_BACKDOOR,
+                   "command": "on"},
+                  target="oven_plug"),
+            ),
+        ),
+    ]
+
+
+#: The paper's narratives (kept out of :data:`CAMPAIGNS`, see module doc).
+PAPER_CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in _paper_campaigns()}
+
+#: Each narrative's home builder (``protect``, plus the oven's ``occupied``).
+PAPER_HOMES = {
+    "fig3-break-in": build_fig3_home,
+    "thermal-break-in": build_thermal_home,
+    "oven-arson": build_oven_home,
+}
+
+
+def run_paper_campaign(
+    name: str, protect: bool, **home: Any
+) -> tuple[SecuredDeployment, CampaignRunner]:
+    """Run one paper narrative on its own home, to the campaign horizon."""
+    campaign = PAPER_CAMPAIGNS[name]
+    dep = PAPER_HOMES[name](protect, **home)
+    runner = CampaignRunner(campaign, dep).start()
+    dep.run(until=campaign.horizon)
+    return dep, runner
+
+
+def physically_breached(dep: SecuredDeployment) -> bool:
+    """The narratives' goal state: a window stands open or smoke rose."""
+    window = dep.devices.get("window")
+    return (window is not None and window.state == "open") or (
+        dep.env.level("smoke") == "detected"
+    )
 
 
 # ----------------------------------------------------------------------

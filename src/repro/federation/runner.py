@@ -79,22 +79,14 @@ def run_site_worker(spec: SiteSpec) -> dict[str, Any]:
     """
     from repro.attacks.exploits import EXPLOITS
     from repro.core.deployment import SecuredDeployment
-    from repro.core.orchestrator import build_recommended_posture
-    from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
+    from repro.core.fleet import add_e9_fleet, e9_posture
     from repro.learning.repository import CrowdRepository
     from repro.learning.signatures import AttackSignature
 
-    factory_cycle = (smart_camera, smart_plug, thermostat, smart_bulb)
     build_start = time.perf_counter()
     dep = SecuredDeployment.build()
     dep.manager.capacity = max(256, spec.devices + 8)
-    trusted = (dep.HUB, dep.CONTROLLER)
-    for i in range(spec.devices):
-        factory = factory_cycle[i % len(factory_cycle)]
-        device = dep.add_device(
-            factory, f"dev{i}", report_to="hub", telemetry_period=spec.telemetry_period
-        )
-        device.start_telemetry()
+    add_e9_fleet(dep, spec.devices, telemetry_period=spec.telemetry_period)
     attacker = dep.add_attacker() if spec.attack else None
     dep.finalize()
     if spec.signatures:
@@ -102,18 +94,8 @@ def run_site_worker(spec: SiteSpec) -> dict[str, Any]:
         for wire in spec.signatures:
             cache.publish(AttackSignature.from_dict(wire), reporter="coordinator")
         dep.attach_repository(cache)
-    for i in range(spec.devices):
-        name = f"dev{i}"
-        device = dep.devices[name]
-        if "exposed-credentials" in device.firmware.flaw_classes():
-            posture = build_recommended_posture("password_proxy", name)
-        elif device.firmware.flaw_classes() & {"backdoor", "exposed-access"}:
-            posture = build_recommended_posture(
-                "stateful_firewall", name, trusted_sources=trusted
-            )
-        else:
-            posture = build_recommended_posture("monitor", name, sku=device.sku)
-        dep.secure(name, posture)
+    for name in dep.devices:
+        dep.secure(name, e9_posture(dep, name))
     build_s = time.perf_counter() - build_start
 
     results = []

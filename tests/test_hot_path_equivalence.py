@@ -39,17 +39,13 @@ import pytest
 
 from repro.attacks.exploits import EXPLOITS
 from repro.core.deployment import SecuredDeployment
-from repro.core.orchestrator import build_recommended_posture
-from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
+from repro.core.fleet import add_e9_fleet, e9_posture
 from repro.faults.ha_scenario import run_failover_scenario
 from repro.faults.scenario import run_resilience_scenario
 from repro.policy.posture import ALLOW_ALL
 
 FIXTURE_PATH = Path(__file__).resolve().parent / "fixtures" / "hot_path_equivalence.json"
 RECORDING = bool(os.environ.get("REPRO_RECORD_FIXTURES"))
-
-FACTORY_CYCLE = (smart_camera, smart_plug, thermostat, smart_bulb)
-
 
 # Journal fields backed by process-global allocation counters (packet ids,
 # control-message ids).  They depend on what else ran earlier in the same
@@ -72,33 +68,14 @@ def journal_digest(sim) -> str:
     return h.hexdigest()
 
 
-def _e9_posture(dep, name: str):
-    """The E9 posture for a device: proxy, firewall or monitor by flaw class."""
-    device = dep.devices[name]
-    flaws = device.firmware.flaw_classes()
-    if "exposed-credentials" in flaws:
-        return build_recommended_posture("password_proxy", name)
-    if flaws & {"backdoor", "exposed-access"}:
-        return build_recommended_posture(
-            "stateful_firewall", name, trusted_sources=(dep.HUB, dep.CONTROLLER)
-        )
-    return build_recommended_posture("monitor", name, sku=device.sku)
-
-
 def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:
     """The E9 hot path in miniature: tunnelled devices, telemetry, attacks."""
     dep = SecuredDeployment.build()
-    for i in range(n_devices):
-        factory = FACTORY_CYCLE[i % len(FACTORY_CYCLE)]
-        device = dep.add_device(
-            factory, f"dev{i}", report_to="hub", telemetry_period=20.0
-        )
-        device.start_telemetry()
+    add_e9_fleet(dep, n_devices)
     attacker = dep.add_attacker()
     dep.finalize()
-    for i in range(n_devices):
-        name = f"dev{i}"
-        dep.secure(name, _e9_posture(dep, name))
+    for name in dep.devices:
+        dep.secure(name, e9_posture(dep, name))
     EXPLOITS["default_credential_hijack"].launch(attacker, "dev0", dep.sim)
     EXPLOITS["backdoor_command"].launch(
         attacker, "dev1", dep.sim, backdoor_port=49153, command="on"
@@ -134,17 +111,11 @@ def run_e9_epochs(n_devices: int = 12, until: float = 120.0) -> dict:
         checkpointing=True,
         standby=True,
     )
-    for i in range(n_devices):
-        factory = FACTORY_CYCLE[i % len(FACTORY_CYCLE)]
-        device = dep.add_device(
-            factory, f"dev{i}", report_to="hub", telemetry_period=20.0
-        )
-        device.start_telemetry()
+    add_e9_fleet(dep, n_devices)
     attacker = dep.add_attacker()
     dep.finalize()
-    for i in range(n_devices):
-        name = f"dev{i}"
-        dep.secure(name, _e9_posture(dep, name), pin=False)
+    for name in dep.devices:
+        dep.secure(name, e9_posture(dep, name), pin=False)
     EXPLOITS["default_credential_hijack"].launch(attacker, "dev0", dep.sim)
 
     def release(name: str) -> None:
@@ -152,7 +123,7 @@ def run_e9_epochs(n_devices: int = 12, until: float = 120.0) -> dict:
         dep.secure(name, ALLOW_ALL, pin=False)
 
     def reonboard(name: str) -> None:
-        dep.secure(name, _e9_posture(dep, name), pin=False)
+        dep.secure(name, e9_posture(dep, name), pin=False)
 
     for k, name in enumerate(("dev1", "dev4", "dev7", "dev10")):
         dep.sim.schedule_at(20.0 + 10.0 * k, release, name)

@@ -6,27 +6,13 @@ harness re-runs these scenarios with measurement; these tests pin the
 *correctness* of the reproduction.
 """
 
-import pytest
-
 from repro.attacks.exploits import EXPLOITS
-from repro.attacks.scenarios import fig3_break_in
 from repro.core.deployment import SecuredDeployment
 from repro.core.orchestrator import build_recommended_posture
 from repro.devices import protocol
-from repro.devices.library import (
-    FIREALARM_BACKDOOR_PORT,
-    WEMO_BACKDOOR_PORT,
-    fire_alarm,
-    smart_camera,
-    smart_plug,
-    window_actuator,
-)
-from repro.learning.repository import CrowdRepository
-from repro.learning.signatures import backdoor_signature
-from repro.policy.builder import PolicyBuilder
+from repro.devices.library import smart_camera
+from repro.faults.campaign_library import physically_breached, run_paper_campaign
 from repro.policy.context import SUSPICIOUS
-from repro.policy.ifttt import Recipe
-from repro.policy.posture import MboxSpec, Posture, block_commands
 
 
 class TestFig4PasswordProxy:
@@ -87,141 +73,53 @@ class TestFig4PasswordProxy:
 
 
 class TestFig5CrossDevicePolicy:
-    """Fig. 5: 'ON' to the Wemo only while the camera sees a person."""
+    """Fig. 5: 'ON' to the oven plug only while somebody is home."""
 
-    def build(self, protect, occupied):
-        dep = SecuredDeployment.build()
-        dep.add_device(smart_camera, "cam")
-        dep.add_device(smart_plug, "wemo", load={"hazard": 1.0})
-        attacker = dep.add_attacker()
-        dep.finalize()
-        dep.env.discrete("occupancy").set("present" if occupied else "absent")
-        if protect:
-            dep.secure(
-                "wemo",
-                Posture.make(
-                    "occupancy-gate",
-                    MboxSpec.make(
-                        "context_gate",
-                        commands=["on"],
-                        require={"env:occupancy": "present"},
-                    ),
-                ),
-            )
-        return dep, attacker
-
-    def launch(self, dep, attacker, at=1.0):
-        holder = {}
-        dep.sim.schedule(
-            at,
-            lambda: holder.update(
-                result=EXPLOITS["backdoor_command"].launch(
-                    attacker,
-                    "wemo",
-                    dep.sim,
-                    backdoor_port=WEMO_BACKDOOR_PORT,
-                    command="on",
-                )
-            ),
-        )
-        return holder
+    def run(self, protect, occupied=False):
+        dep, runner = run_paper_campaign("oven-arson", protect, occupied=occupied)
+        return dep, runner.exploit_results["oven_plug_backdoor_on"]
 
     def test_current_world_remote_attacker_turns_oven_on(self):
-        dep, attacker = self.build(protect=False, occupied=False)
-        holder = self.launch(dep, attacker)
-        dep.run(until=30.0)
-        assert holder["result"].succeeded
-        assert dep.devices["wemo"].state == "on"
+        dep, result = self.run(protect=False)
+        assert result.succeeded
+        assert dep.devices["oven_plug"].state == "on"
 
     def test_iotsec_blocks_when_nobody_home(self):
-        dep, attacker = self.build(protect=True, occupied=False)
-        holder = self.launch(dep, attacker)
-        dep.run(until=30.0)
-        assert not holder["result"].succeeded
-        assert dep.devices["wemo"].state == "off"
-        assert any(a.kind == "context-gate-blocked" for a in dep.alerts("wemo"))
+        dep, result = self.run(protect=True)
+        assert not result.succeeded
+        assert dep.devices["oven_plug"].state == "off"
+        assert any(a.kind == "context-gate-blocked" for a in dep.alerts("oven_plug"))
 
     def test_iotsec_allows_when_person_present(self):
-        dep, attacker = self.build(protect=True, occupied=True)
-        holder = self.launch(dep, attacker)
-        dep.run(until=30.0)
+        dep, result = self.run(protect=True, occupied=True)
         # the *policy* allows ON while occupied (the paper's exact rule);
         # the attack then only "succeeds" in doing something permitted.
-        assert holder["result"].succeeded
-        assert dep.devices["wemo"].state == "on"
-
-
-def fig3_policy():
-    return (
-        PolicyBuilder()
-        .device("fire_alarm")
-        .device("window")
-        .env("smoke", ("clear", "detected"))
-        .env("occupancy", ("absent", "present"))
-        .when("ctx:fire_alarm", SUSPICIOUS)
-        .give("window", block_commands("open", name="block-open"), priority=200)
-        .when("ctx:window", SUSPICIOUS)
-        .give(
-            "window",
-            Posture.make(
-                "robot-check",
-                MboxSpec.make("source_filter", allowed_sources=["hub", "controller"]),
-            ),
-            priority=250,
-        )
-        .build()
-    )
+        assert result.succeeded
+        assert dep.devices["oven_plug"].state == "on"
 
 
 class TestFig3PolicyFsm:
     """Fig. 3: the two attack transitions and their posture responses."""
 
-    def build(self, protect):
-        dep = SecuredDeployment.build()
-        dep.policy = fig3_policy()
-        fa = dep.add_device(fire_alarm, "fire_alarm")
-        win = dep.add_device(window_actuator, "window")
-        attacker = dep.add_attacker()
-        dep.finalize()
-        dep.hub.add_recipe(Recipe("ventilate", "dev:fire_alarm", "alarm", "window", "open"))
-        dep.hub.watch_devices(
-            lambda name: dep.devices[name].state if name in dep.devices else None
-        )
-        if protect:
-            repo = CrowdRepository(dep.sim)
-            repo.publish(
-                backdoor_signature(fa.sku, FIREALARM_BACKDOOR_PORT),
-                reporter="another-site",
-            )
-            dep.attach_repository(repo)
-            dep.enforce_baseline()
-        campaign = fig3_break_in(
-            attacker,
-            dep.sim,
-            fire_alarm="fire_alarm",
-            window="window",
-            window_is_open=lambda: win.state == "open",
-        )
-        campaign.launch(dep.sim, until=120.0)
-        return dep, campaign, fa, win
+    def run(self, protect):
+        dep, runner = run_paper_campaign("fig3-break-in", protect)
+        return dep, {name: r.succeeded for name, r in runner.exploit_results.items()}
 
     def test_current_world_both_transitions_breach(self):
-        dep, campaign, fa, win = self.build(protect=False)
-        dep.run(until=120.0)
-        assert campaign.succeeded()
-        assert fa.state == "alarm"
-        assert campaign.stage_results() == {
+        dep, stages = self.run(protect=False)
+        assert physically_breached(dep)
+        assert dep.devices["fire_alarm"].state == "alarm"
+        assert stages == {
             "firealarm_backdoor": True,
             "window_brute_force": True,
         }
 
     def test_iotsec_blocks_both_transitions(self):
-        dep, campaign, fa, win = self.build(protect=True)
-        dep.run(until=120.0)
-        assert not campaign.succeeded()
-        assert win.state == "closed"
-        assert fa.state == "ok"  # backdoor command never reached it
+        dep, __ = self.run(protect=True)
+        assert not physically_breached(dep)
+        assert dep.devices["window"].state == "closed"
+        assert dep.devices["fire_alarm"].state == "ok"  # backdoor never reached it
         # context escalated and the cross-device posture engaged
         assert dep.controller.context_of("fire_alarm") == SUSPICIOUS
         posture = dep.orchestrator.posture_of("window")
-        assert posture is not None and posture.name in ("block-open", "robot-check")
+        assert posture is not None and posture.name in ("block-open-fw", "robot-check-fw")

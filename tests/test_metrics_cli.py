@@ -272,6 +272,21 @@ def test_cli_fleet(capsys):
     assert "fleet losses: 1/3" in out
 
 
+@pytest.mark.parametrize(
+    "argv,least",
+    [
+        (["fleet", "--sites", "0"], 1),
+        (["federation", "--sites", "1"], 2),
+        (["federation", "--scale", "10", "--sites", "0"], 1),
+    ],
+)
+def test_cli_rejects_too_few_sites(argv, least, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --sites must be at least {least} (got {argv[-1]})\n"
+
+
 def test_cli_demo_fig3(capsys):
     assert main(["demo", "fig3"]) == 0
     out = capsys.readouterr().out

@@ -2,153 +2,115 @@
 
 import pytest
 
-from repro.attacks.scenarios import fig3_break_in, oven_arson, thermal_break_in
-from repro.core.deployment import SecuredDeployment
-from repro.devices.library import (
-    fire_alarm,
-    smart_plug,
-    window_actuator,
+from repro.faults.campaign import Campaign
+from repro.faults.campaign_library import (
+    CAMPAIGNS,
+    PAPER_CAMPAIGNS,
+    physically_breached,
+    run_paper_campaign,
 )
-from repro.environment.physics import ThermalProcess
-from repro.learning.repository import CrowdRepository
-from repro.learning.signatures import backdoor_signature
-from repro.policy.ifttt import Recipe
+
+#: (narrative, protect, home kwargs) -> device states, smoke level,
+#: per-stage exploit success, and the end-of-run breach check.
+OUTCOMES = [
+    ("fig3-break-in", False, {},
+     {"fire_alarm": "alarm", "window": "open"}, "clear",
+     {"firealarm_backdoor": True, "window_brute_force": True}, True),
+    ("fig3-break-in", True, {},
+     {"fire_alarm": "ok", "window": "closed"}, "clear",
+     {"firealarm_backdoor": False, "window_brute_force": True}, False),
+    ("thermal-break-in", False, {},
+     {"ac_plug": "off", "window": "open"}, "clear",
+     {"plug_backdoor_off": True}, True),
+    ("thermal-break-in", True, {},
+     {"ac_plug": "on", "window": "closed"}, "clear",
+     {"plug_backdoor_off": False}, False),
+    ("oven-arson", False, {},
+     {"oven_plug": "on", "alarm": "alarm"}, "detected",
+     {"oven_plug_backdoor_on": True}, True),
+    ("oven-arson", True, {},
+     {"oven_plug": "off", "alarm": "ok"}, "clear",
+     {"oven_plug_backdoor_on": False}, False),
+    # Somebody home: "on" is policy-compliant and flows through the gate.
+    ("oven-arson", True, {"occupied": True},
+     {"oven_plug": "on", "alarm": "alarm"}, "detected",
+     {"oven_plug_backdoor_on": True}, True),
+]
 
 
-def hot_summer(dep):
-    """Re-park the home in a heat wave: without AC the room overheats."""
-    for i, process in enumerate(dep.env.processes):
-        if isinstance(process, ThermalProcess):
-            dep.env.processes[i] = ThermalProcess(outside=35.0)
-    dep.env.continuous("temperature").set(21.0)
+@pytest.mark.parametrize(
+    "name,protect,home,states,smoke,stages,breached",
+    OUTCOMES,
+    ids=[f"{o[0]}-{'iotsec' if o[1] else 'current'}{'-occupied' if o[2] else ''}"
+         for o in OUTCOMES],
+)
+def test_narrative_outcome(name, protect, home, states, smoke, stages, breached):
+    dep, runner = run_paper_campaign(name, protect, **home)
+    assert {device: node.state for device, node in dep.devices.items()} == states
+    assert dep.env.level("smoke") == smoke
+    assert {n: r.succeeded for n, r in runner.exploit_results.items()} == stages
+    assert physically_breached(dep) is breached
+
+
+def test_fig3_window_posture_per_arm():
+    bare, __ = run_paper_campaign("fig3-break-in", protect=False)
+    guarded, __ = run_paper_campaign("fig3-break-in", protect=True)
+    assert bare.orchestrator.posture_of("window").name == "allow"
+    assert guarded.orchestrator.posture_of("window").name == "block-open-fw"
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_CAMPAIGNS))
+def test_paper_campaign_json_roundtrip(name):
+    campaign = PAPER_CAMPAIGNS[name]
+    assert Campaign.from_json(campaign.to_json()) == campaign
+
+
+def test_paper_campaigns_stay_out_of_the_corpus():
+    assert set(PAPER_CAMPAIGNS).isdisjoint(CAMPAIGNS)
+    assert len(CAMPAIGNS) == 19
+
+
+def test_narratives_journal_like_every_campaign():
+    dep, runner = run_paper_campaign("fig3-break-in", protect=True)
+    starts = dep.sim.journal.entries(kind="campaign-start")
+    assert [e.fields["campaign"] for e in starts] == ["fig3-break-in"]
+    stages = dep.sim.journal.entries(kind="campaign-stage")
+    assert [e.fields["stage"] for e in stages] == [
+        "firealarm_backdoor",
+        "window_brute_force",
+    ]
+    assert runner.trace_id is not None
 
 
 class TestThermalBreakIn:
     """Section 2.1: plug off -> heat -> cool-down recipe opens the window."""
 
-    def build(self, protect):
-        dep = SecuredDeployment.build()
-        ac = dep.add_device(smart_plug, "ac_plug", load={"cool_watts": 700.0})
-        win = dep.add_device(window_actuator, "window")
-        attacker = dep.add_attacker()
-        dep.finalize()
-        hot_summer(dep)
-        ac.apply_command("on", src="hub", via="local")  # AC running
-        dep.hub.add_recipe(
-            Recipe("cool-down", "env:temperature", "high", "window", "open")
-        )
-        if protect:
-            repo = CrowdRepository(dep.sim)
-            repo.publish(
-                backdoor_signature(ac.sku, ac.firmware.backdoor_port),
-                reporter="another-site",
-            )
-            dep.attach_repository(repo)
-            dep.enforce_baseline()
-        campaign = thermal_break_in(
-            attacker,
-            dep.sim,
-            ac_plug="ac_plug",
-            window_is_open=lambda: win.state == "open",
-        )
-        campaign.launch(dep.sim, until=1200.0)
-        return dep, campaign, ac, win
-
     def test_current_world_breached_without_touching_the_window(self):
-        dep, campaign, ac, win = self.build(protect=False)
-        dep.run(until=1200.0)
-        assert ac.state == "off"           # stage 1 landed
-        assert win.state == "open"         # physics + automation did the rest
-        assert campaign.succeeded()
+        dep, __ = run_paper_campaign("thermal-break-in", protect=False)
+        assert dep.devices["window"].state == "open"  # physics + automation
         # the attacker never sent a packet to the window
-        assert all(r.src != "attacker" for r in win.command_log)
+        assert all(r.src != "attacker" for r in dep.devices["window"].command_log)
 
     def test_iotsec_blocks_the_backdoor_stage(self):
-        dep, campaign, ac, win = self.build(protect=True)
-        dep.run(until=1200.0)
-        assert ac.state == "on"            # backdoor command dropped
-        assert win.state == "closed"
-        assert not campaign.succeeded()
+        dep, __ = run_paper_campaign("thermal-break-in", protect=True)
+        assert dep.devices["ac_plug"].state == "on"  # backdoor command dropped
         assert any(a.kind == "signature-match" for a in dep.alerts("ac_plug"))
 
 
 class TestOvenArson:
     """Fig. 5's hazard: oven powered remotely while nobody is home."""
 
-    def build(self, protect):
-        dep = SecuredDeployment.build()
-        oven_plug = dep.add_device(
-            smart_plug, "oven_plug", load={"hazard": 1.0, "heat_watts": 2000.0}
-        )
-        alarm = dep.add_device(fire_alarm, "alarm", with_backdoor=False)
-        attacker = dep.add_attacker()
-        dep.finalize()
-        if protect:
-            from repro.policy.posture import MboxSpec, Posture
-
-            dep.secure(
-                "oven_plug",
-                Posture.make(
-                    "occupancy-gate",
-                    MboxSpec.make(
-                        "context_gate",
-                        commands=["on"],
-                        require={"env:occupancy": "present"},
-                    ),
-                ),
-            )
-        campaign = oven_arson(
-            attacker,
-            dep.sim,
-            oven_plug="oven_plug",
-            smoke_detected=lambda: dep.env.level("smoke") == "detected",
-        )
-        campaign.launch(dep.sim, until=600.0)
-        return dep, campaign, oven_plug, alarm
-
     def test_current_world_smoke_and_alarm(self):
-        dep, campaign, plug, alarm = self.build(protect=False)
-        dep.run(until=600.0)
-        assert plug.state == "on"
-        assert campaign.succeeded()
-        assert alarm.state == "alarm"  # the physical cascade tripped it
+        dep, __ = run_paper_campaign("oven-arson", protect=False)
+        assert dep.env.level("smoke") == "detected"
+        assert dep.devices["alarm"].state == "alarm"
+        # the physical cascade tripped the alarm, not attacker traffic
+        assert all(r.src != "attacker" for r in dep.devices["alarm"].command_log)
 
     def test_iotsec_context_gate_blocks_when_absent(self):
-        dep, campaign, plug, alarm = self.build(protect=True)
-        dep.run(until=600.0)
-        assert plug.state == "off"
-        assert not campaign.succeeded()
-        assert alarm.state == "ok"
-
-
-class TestFig3Campaign:
-    def test_stage_bookkeeping(self, sim):
-        from repro.attacks.attacker import Attacker
-
-        attacker = Attacker("attacker", sim)
-        campaign = fig3_break_in(attacker, sim, window_is_open=lambda: False)
-        assert [s.label for s in campaign.stages] == [
-            "firealarm_backdoor",
-            "window_brute_force",
-        ]
-        campaign.launch(sim, until=60.0)
-        sim.run(until=60.0)
-        assert not campaign.succeeded()
-        results = campaign.stage_results()
-        # stages ran (results recorded), but with no network they failed
-        assert set(results) == {"firealarm_backdoor", "window_brute_force"}
-
-
-def test_campaign_goal_timestamp(sim):
-    from repro.attacks.attacker import Attacker
-    from repro.attacks.scenarios import Campaign
-
-    flag = {"open": False}
-    campaign = Campaign(
-        name="x", attacker=Attacker("a", sim), goal=lambda: flag["open"]
-    )
-    campaign.launch(sim, goal_poll=1.0, until=100.0)
-    sim.schedule(5.5, lambda: flag.update(open=True))
-    sim.run(until=20.0)
-    assert campaign.succeeded()
-    assert campaign.goal_reached_at == pytest.approx(6.0)
+        dep, __ = run_paper_campaign("oven-arson", protect=True)
+        # the gate dropped "on" before it reached the plug
+        assert all(r.src != "attacker" for r in dep.devices["oven_plug"].command_log)
+        assert any(
+            a.kind == "context-gate-blocked" for a in dep.alerts("oven_plug")
+        )
