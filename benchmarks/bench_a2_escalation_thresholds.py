@@ -35,11 +35,11 @@ def escalations_with_threshold(n: int) -> tuple[EscalationRule, ...]:
 
 def run_threshold(threshold: int) -> dict:
     # --- arm 1: clumsy but legitimate owner -------------------------------
-    dep = SecuredDeployment.build()
+    escalations = escalations_with_threshold(threshold)
+    dep = SecuredDeployment.build(escalations=escalations)
     win = dep.add_device(window_actuator, "window")
     owner = dep.add_attacker("owner_phone", latency=0.005)
     dep.finalize()
-    dep.controller.escalations = escalations_with_threshold(threshold)
     dep.secure(
         "window",
         build_recommended_posture("monitor", "window", sku=win.sku),
@@ -59,11 +59,10 @@ def run_threshold(threshold: int) -> dict:
     owner_flagged = dep.controller.context_of("window") == SUSPICIOUS
 
     # --- arm 2: brute forcer ----------------------------------------------
-    dep2 = SecuredDeployment.build()
+    dep2 = SecuredDeployment.build(escalations=escalations)
     win2 = dep2.add_device(window_actuator, "window")
     attacker = dep2.add_attacker()
     dep2.finalize()
-    dep2.controller.escalations = escalations_with_threshold(threshold)
     dep2.secure(
         "window",
         build_recommended_posture("monitor", "window", sku=win2.sku),

@@ -151,6 +151,33 @@ def _threshold(env: str, default: float) -> float:
 # ---------------------------------------------------------------------------
 # The pure gate
 # ---------------------------------------------------------------------------
+def _drift(
+    label: str,
+    keys: tuple[str, ...],
+    committed: dict[str, Any] | None,
+    current: dict[str, Any] | None,
+    allowed: float,
+) -> list[str]:
+    """Violations for deterministic counters that moved more than ``allowed``.
+
+    Keys missing on either side are skipped, like a missing arm.
+    """
+    if not committed or not current:
+        return []
+    violations = []
+    for key in keys:
+        if key not in committed or key not in current:
+            continue
+        b, c = committed[key], current[key]
+        if abs(c - b) > allowed * max(abs(b), 1):
+            violations.append(
+                f"{label}: deterministic counter {key} drifted "
+                f"{b} -> {c} (allowed {allowed:.0%}); "
+                "a behavior change must re-record the baselines"
+            )
+    return violations
+
+
 def compare(
     current: dict[str, Any],
     baseline: dict[str, Any],
@@ -222,16 +249,7 @@ def compare(
                     f"({base['events_per_s']:,.0f} -> {row['events_per_s']:,.0f} "
                     f"events/s, limit {throughput_regression:.0%})"
                 )
-        for key in DETERMINISTIC_KEYS:
-            if key not in base or key not in row:
-                continue
-            b, c = base[key], row[key]
-            if abs(c - b) > event_count_drift * max(abs(b), 1):
-                violations.append(
-                    f"{label}: deterministic counter {key} drifted "
-                    f"{b} -> {c} (allowed {event_count_drift:.0%}); "
-                    "a behavior change must re-record the baselines"
-                )
+        violations += _drift(label, DETERMINISTIC_KEYS, base, row, event_count_drift)
 
     # E9-small: the event-loop core probe, gated like the sweep rows
     # (baseline-relative throughput plus exact deterministic event count).
@@ -296,19 +314,10 @@ def compare(
                     f"limit {resilience_regression:.0%})"
                 )
         for arm, committed_arm in e12_base.items():
-            cur_arm = e12.get(arm)
-            if not cur_arm:
-                continue
-            for key in E12_DETERMINISTIC_KEYS:
-                if key not in committed_arm or key not in cur_arm:
-                    continue
-                b, c = committed_arm[key], cur_arm[key]
-                if abs(c - b) > event_count_drift * max(abs(b), 1):
-                    violations.append(
-                        f"e12/{arm}: deterministic counter {key} drifted "
-                        f"{b} -> {c} (allowed {event_count_drift:.0%}); "
-                        "a behavior change must re-record the baselines"
-                    )
+            violations += _drift(
+                f"e12/{arm}", E12_DETERMINISTIC_KEYS, committed_arm,
+                e12.get(arm), event_count_drift,
+            )
 
     # E13: controller survivability.  Hard property gates first (ratios
     # are pinned thresholds, not baseline-relative -- these are the
@@ -335,19 +344,10 @@ def compare(
             )
     for group in ("failover", "storm"):
         for arm, committed_arm in (e13_base.get(group) or {}).items():
-            cur_arm = (e13.get(group) or {}).get(arm)
-            if not cur_arm:
-                continue
-            for key in E13_DETERMINISTIC_KEYS:
-                if key not in committed_arm or key not in cur_arm:
-                    continue
-                b, c = committed_arm[key], cur_arm[key]
-                if abs(c - b) > event_count_drift * max(abs(b), 1):
-                    violations.append(
-                        f"e13/{group}/{arm}: deterministic counter {key} "
-                        f"drifted {b} -> {c} (allowed {event_count_drift:.0%}); "
-                        "a behavior change must re-record the baselines"
-                    )
+            violations += _drift(
+                f"e13/{group}/{arm}", E13_DETERMINISTIC_KEYS, committed_arm,
+                (e13.get(group) or {}).get(arm), event_count_drift,
+            )
 
     # E14: telemetry durability.  Zero loss is an absolute property, not a
     # baseline delta: any record the durable plane emitted but never
@@ -376,19 +376,10 @@ def compare(
             "is gated on"
         )
     for arm, committed_arm in e14_base.items():
-        cur_arm = e14.get(arm)
-        if not cur_arm:
-            continue
-        for key in E14_DETERMINISTIC_KEYS:
-            if key not in committed_arm or key not in cur_arm:
-                continue
-            b, c = committed_arm[key], cur_arm[key]
-            if abs(c - b) > event_count_drift * max(abs(b), 1):
-                violations.append(
-                    f"e14/{arm}: deterministic counter {key} drifted "
-                    f"{b} -> {c} (allowed {event_count_drift:.0%}); "
-                    "a behavior change must re-record the baselines"
-                )
+        violations += _drift(
+            f"e14/{arm}", E14_DETERMINISTIC_KEYS, committed_arm, e14.get(arm),
+            event_count_drift,
+        )
 
     # E15: the federated control plane.  The gate pair's speedup is a
     # pinned ratio of two same-machine wall clocks, so it gates without a
@@ -435,17 +426,10 @@ def compare(
                 "e15: the poisoned signature report was not quarantined -- "
                 "repository validation regressed"
             )
-        committed = e15_base.get("blackout") or {}
-        for key in E15_DETERMINISTIC_KEYS:
-            if key not in committed or key not in blackout:
-                continue
-            b, c = committed[key], blackout[key]
-            if abs(c - b) > event_count_drift * max(abs(b), 1):
-                violations.append(
-                    f"e15/blackout: deterministic counter {key} drifted "
-                    f"{b} -> {c} (allowed {event_count_drift:.0%}); "
-                    "a behavior change must re-record the baselines"
-                )
+        violations += _drift(
+            "e15/blackout", E15_DETERMINISTIC_KEYS, e15_base.get("blackout"),
+            blackout, event_count_drift,
+        )
 
     # E16: the adversarial campaign corpus.  Containment on the enforcing
     # classes is an absolute property (like E14's zero loss): a campaign
@@ -483,19 +467,10 @@ def compare(
                 "degraded-fabric miss would be silent (SLO fold-in regressed)"
             )
     for name, committed_cls in (e16_base.get("classes") or {}).items():
-        cur_cls = (e16.get("classes") or {}).get(name)
-        if not cur_cls:
-            continue
-        for key in E16_DETERMINISTIC_KEYS:
-            if key not in committed_cls or key not in cur_cls:
-                continue
-            b, c = committed_cls[key], cur_cls[key]
-            if abs(c - b) > event_count_drift * max(abs(b), 1):
-                violations.append(
-                    f"e16/{name}: deterministic counter {key} drifted "
-                    f"{b} -> {c} (allowed {event_count_drift:.0%}); "
-                    "a behavior change must re-record the baselines"
-                )
+        violations += _drift(
+            f"e16/{name}", E16_DETERMINISTIC_KEYS, committed_cls,
+            (e16.get("classes") or {}).get(name), event_count_drift,
+        )
 
     # Health/SLO plane: properties of the current run only (both health
     # scenarios are deterministic sim-time runs, so there is no committed

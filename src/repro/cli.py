@@ -37,6 +37,9 @@ import argparse
 import json
 import random
 import sys
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 def _arm(protect: bool) -> str:
@@ -174,68 +177,19 @@ def _too_few_sites(sites: int, least: int) -> int:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """The federation story: one victim site buys fleet immunity."""
-    from repro.attacks.exploits import EXPLOITS
-    from repro.core.deployment import SecuredDeployment
-    from repro.devices.library import smart_camera
-    from repro.learning.repository import CrowdRepository
-    from repro.learning.traceminer import LabelledTrace, mine_and_publish
-    from repro.mboxes.elements import PacketLogger
-    from repro.netsim.simulator import Simulator
-    from repro.policy.posture import MboxSpec, Posture
+    from repro.core.fleet import run_fleet
 
     if args.sites < 1:
         return _too_few_sites(args.sites, 1)
-    sim = Simulator()
-    repo = CrowdRepository(sim, free_rider_delay=5.0, base_delay=1.0)
-    posture = Posture.make(
-        "forensic-monitor",
-        MboxSpec.make("packet_logger", capture=True),
-        MboxSpec.make("signature_ids", sku="dlink:DCS-930L:1.0"),
-    )
-    sites, attackers = [], []
-    for i in range(args.sites):
-        site = SecuredDeployment.build(sim=sim)
-        site.add_device(smart_camera, "cam")
-        attackers.append(site.add_attacker())
-        site.finalize()
-        site.attach_repository(repo)
-        site.secure("cam", posture)
-        sites.append(site)
-
-    results = [None] * args.sites
-
-    def attack(i: int) -> None:
-        results[i] = EXPLOITS["default_credential_hijack"].launch(
-            attackers[i], "cam", sim, resource="image"
-        )
-
-    def respond() -> None:
-        mbox = sites[0].cluster.mboxes["cam"]
-        logger = next(e for e in mbox.elements if isinstance(e, PacketLogger))
-        attack_pkts = [p for p in logger.captured if p.src == "attacker"]
-        if attack_pkts:
-            mine_and_publish(
-                repo,
-                LabelledTrace.make(attack=attack_pkts),
-                sku="dlink:DCS-930L:1.0",
-                reporter="site-0-operator",
-                flaw_class="exposed-credentials",
-            )
-            print(f"t={sim.now:.0f}s  site 0 mined + published a signature")
-
-    for i in range(args.sites):
-        sim.schedule(1.0 + i * 30.0, attack, i)
-    sim.schedule(11.0, respond)
-    sim.run(until=args.sites * 30.0 + 30.0)
-
-    for i, site in enumerate(sites):
-        compromised = bool(attackers[i].loot_from("cam"))
+    result = run_fleet(args.sites)
+    if result["published_at"] is not None:
+        print(f"t={result['published_at']:.0f}s  site 0 mined + published a signature")
+    for outcome in result["outcomes"]:
         print(
-            f"site {i}: attacked t={1 + i * 30:>4}s -> "
-            f"{'COMPROMISED' if compromised else 'safe (signature blocked it)'}"
+            f"site {outcome['site']}: attacked t={outcome['attacked_at']:>4.0f}s -> "
+            f"{'COMPROMISED' if outcome['compromised'] else 'safe (signature blocked it)'}"
         )
-    lost = sum(1 for i in range(args.sites) if attackers[i].loot_from("cam"))
-    print(f"\nfleet losses: {lost}/{args.sites} "
+    print(f"\nfleet losses: {result['lost']}/{args.sites} "
           f"(without sharing it would have been {args.sites}/{args.sites})")
     return 0
 
@@ -347,11 +301,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs import to_prometheus
 
+    if _bad_watch(args.watch):
+        return 2
     setup = None
     if args.watch is not None:
-        if args.watch <= 0:
-            print("error: --watch period must be positive", file=sys.stderr)
-            return 2
 
         def setup(dep):
             def show() -> None:
@@ -423,6 +376,32 @@ def cmd_journal_audit(args: argparse.Namespace) -> int:
             f" {entry.device or '-':<10}{trace}  {detail}".rstrip()
         )
     return 0
+
+
+def _bad_watch(period: float | None) -> bool:
+    """Report a non-positive ``--watch`` period (a usage error, exit 2)."""
+    if period is not None and period <= 0:
+        print("error: --watch period must be positive", file=sys.stderr)
+        return True
+    return False
+
+
+def _read_document(path: str, what: str, parse: Callable[[str], T]) -> T | None:
+    """Read and parse a JSON document named on the command line.
+
+    An unreadable or malformed document is a usage error: one line on
+    stderr and ``None``, for which the caller exits with status 2.
+    """
+    try:
+        text = open(path, encoding="utf-8").read()
+    except OSError as exc:
+        print(f"error: cannot read {what} {path!r}: {exc}", file=sys.stderr)
+        return None
+    try:
+        return parse(text)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _print_arm_table(results: list[dict], cols: tuple[str, ...]) -> None:
@@ -529,15 +508,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     elif args.plan == "standard":
         plan = standard_fault_plan()
     else:
-        try:
-            text = open(args.plan, encoding="utf-8").read()
-        except OSError as exc:
-            print(f"error: cannot read fault plan {args.plan!r}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            plan = FaultPlan.from_json(text)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        plan = _read_document(args.plan, "fault plan", FaultPlan.from_json)
+        if plan is None:
             return 2
     arms = [False] if args.no_resilience else [False, True]
     results = [
@@ -568,10 +540,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         "mbox_restarts",
         "fail_open_passes",
     )
-    print(f"\n{'metric':<26}" + "".join(f"{r['arm']:>12}" for r in results))
-    for col in cols:
-        cells = "".join(f"{str(r.get(col)):>12}" for r in results)
-        print(f"{col:<26}{cells}")
+    _print_arm_table(results, cols)
     if len(results) == 2:
         base, res = results
         print(
@@ -619,16 +588,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
 
     if args.file:
-        try:
-            text = open(args.file, encoding="utf-8").read()
-        except OSError as exc:
-            print(f"error: cannot read campaign {args.file!r}: {exc}", file=sys.stderr)
+        campaign = _read_document(args.file, "campaign", Campaign.from_json)
+        if campaign is None:
             return 2
-        try:
-            selected = [Campaign.from_json(text)]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        selected = [campaign]
     elif args.name:
         if args.name not in CAMPAIGNS:
             print(
@@ -781,8 +744,7 @@ def cmd_dlq(args: argparse.Namespace) -> int:
 def cmd_health(args: argparse.Namespace) -> int:
     from repro.faults.scenario import HEALTH_PLANS, run_health_scenario
 
-    if args.watch is not None and args.watch <= 0:
-        print("error: --watch period must be positive", file=sys.stderr)
+    if _bad_watch(args.watch):
         return 2
 
     def setup(dep):

@@ -79,7 +79,6 @@ class IoTSecController:
         escalations: tuple[EscalationRule, ...] = DEFAULT_ESCALATIONS,
         ingest: IngestConfig | None = None,
         durable_telemetry: bool = False,
-        host_trust: Any = None,
     ) -> None:
         self.name = name
         self.sim = sim
@@ -87,7 +86,6 @@ class IoTSecController:
         self.orchestrator = orchestrator
         self.channel = channel
         self.topology = topology
-        self.escalations = escalations
         self.view = GlobalView(sim)
         self.bus = EventBus(sim)
         self.pipeline = ReactivePipeline(
@@ -104,7 +102,6 @@ class IoTSecController:
         self.crashed = False
         #: Switches this controller serves packet-ins for (detached on crash).
         self._adopted: list["Switch"] = []
-        self.ingest_config = ingest
         #: Optional bounded priority ingest queue (None = direct dispatch).
         self.ingest: IngestQueue | None = (
             IngestQueue(
@@ -126,7 +123,6 @@ class IoTSecController:
         #: Durable telemetry plane (opt-in): the consumer end of every
         #: host's store-and-forward stream, plus the dead-letter queue for
         #: records refused at the door (schema failures, flagged hosts).
-        self.durable_telemetry = durable_telemetry
         self.dlq: DeadLetterQueue | None = None
         self.stream: StreamConsumer | None = None
         if durable_telemetry:
@@ -138,7 +134,6 @@ class IoTSecController:
                 deliver=self._on_alert,
                 dlq=self.dlq,
                 defer=self._defer_bulk,
-                host_trust=host_trust,
             )
             self._control_dispatch["stream"] = self.stream.on_batch
         #: Per-device sensor maps (``report_key -> policy variable``),

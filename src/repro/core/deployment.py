@@ -24,12 +24,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.netsim.switch import Switch
-
 from repro.attacks.attacker import Attacker
-from repro.core.controller import IoTSecController
-from repro.core.ha import Checkpointer, CheckpointStore, StandbyController, restore_controller
+from repro.core.controller import DEFAULT_ESCALATIONS, EscalationRule, IoTSecController
+from repro.core.ha import Checkpointer, CheckpointStore, StandbyController, revive
 from repro.core.overload import IngestConfig
 from repro.core.orchestrator import (
     PostureOrchestrator,
@@ -52,6 +49,7 @@ from repro.sdn.channel import ControlChannel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.learning.repository import CrowdRepository
+    from repro.netsim.switch import Switch
     from repro.obs.health import HealthPlane
     from repro.obs.stream import HostStream
 
@@ -115,11 +113,10 @@ class SecuredDeployment:
         checkpointing: bool = False,
         checkpoint_period: float = 5.0,
         standby: bool = False,
-        heartbeat_period: float = 0.25,
-        failover_timeout: float = 1.0,
         ha_seed: int = 0,
         health: bool = False,
         health_period: float = 5.0,
+        escalations: tuple[EscalationRule, ...] = DEFAULT_ESCALATIONS,
     ) -> None:
         self.sim = sim or Simulator()
         #: Resilience knobs: ``reliable_control`` gives the alert and
@@ -146,8 +143,6 @@ class SecuredDeployment:
         self.checkpointing = checkpointing
         self.checkpoint_period = checkpoint_period
         self.standby = standby
-        self.heartbeat_period = heartbeat_period
-        self.failover_timeout = failover_timeout
         self.ha_seed = ha_seed
         self.checkpoint_store: CheckpointStore | None = None
         self.checkpointer: Checkpointer | None = None
@@ -158,6 +153,10 @@ class SecuredDeployment:
         self.health_enabled = health
         self.health_period = health_period
         self.health_plane: "HealthPlane | None" = None
+        #: How alert streams become contexts ("N login attempts within W
+        #: seconds -> suspicious"); every controller the site builds --
+        #: first, restarted or promoted -- escalates by these rules.
+        self.escalations = escalations
         self.topology = Topology(self.sim)
         self.with_iotsec = with_iotsec
         self._given_policy = policy
@@ -318,16 +317,7 @@ class SecuredDeployment:
         assert self.orchestrator is not None and self.cluster is not None
         if self.policy is None:
             self.policy = self.default_policy()
-        self.controller = IoTSecController(
-            name=self.CONTROLLER,
-            sim=self.sim,
-            policy=self.policy,
-            orchestrator=self.orchestrator,
-            channel=self.channel,
-            topology=self.topology,
-            ingest=self.ingest_config,
-            durable_telemetry=self.durable_telemetry,
-        )
+        controller = self.new_controller(self.policy)
         if self.durable_telemetry:
             from repro.obs.stream import HostStream
 
@@ -338,12 +328,11 @@ class SecuredDeployment:
                 controller=self.CONTROLLER,
             )
             self.cluster.attach_stream(self.host_stream)
-        self.controller.adopt_packet_in(self.edge)
-        for room in self.rooms.values():
-            self.controller.adopt_packet_in(room)
-        self.controller.watch_environment(self.env)
+        for switch in self.switches:
+            controller.adopt_packet_in(switch)
+        controller.watch_environment(self.env)
         for device in self.devices.values():
-            self.controller.register_device(device)
+            controller.register_device(device)
         # µmbox alerts travel the control channel to the controller.
         self.cluster.alert_sink = self._forward_alert
         # The cluster's context view is the controller's global view.
@@ -355,35 +344,11 @@ class SecuredDeployment:
         if self.health_check_period is not None and self.manager is not None:
             self.manager.on_recovery = lambda device: self.orchestrator.repin(device)
             self.manager.start_health_checks(self.health_check_period)
-        self._wire_survivability(self.controller)
         if self.checkpointing or self.standby:
             self.checkpoint_store = CheckpointStore()
-            self.checkpointer = Checkpointer(
-                self.controller,
-                self.checkpoint_store,
-                period=self.checkpoint_period,
-                channel=self.channel if self.standby else None,
-                standby=self.STANDBY if self.standby else None,
-                heartbeat_period=self.heartbeat_period if self.standby else None,
-            )
+        self.adopt(controller, replicate=self.standby)
         if self.standby:
-            self.standby_controller = StandbyController(
-                sim=self.sim,
-                channel=self.channel,
-                orchestrator=self.orchestrator,
-                topology=self.topology,
-                policy=self.policy,
-                devices=self.devices,
-                switches=[self.edge, *self.rooms.values()],
-                env=self.env,
-                name=self.STANDBY,
-                primary=self.CONTROLLER,
-                ingest=self.ingest_config,
-                durable_telemetry=self.durable_telemetry,
-                heartbeat_timeout=self.failover_timeout,
-                seed=self.ha_seed,
-                on_takeover=self._on_takeover,
-            )
+            self.standby_controller = StandbyController(self, seed=self.ha_seed)
         if self.health_enabled:
             self.attach_health(self.health_period)
         return self
@@ -402,27 +367,56 @@ class SecuredDeployment:
             self.health_plane = attach_health_plane(self, period=period)
         return self.health_plane
 
-    def _wire_survivability(self, controller: IoTSecController) -> None:
-        """Connect the ingest queue's backpressure to the µmbox host."""
-        if controller.ingest is not None and self.cluster is not None:
-            controller.ingest.on_shed = self.cluster.set_backpressure
+    # ------------------------------------------------------------------
+    # The site's controller: built, adopted, restarted here only
+    # ------------------------------------------------------------------
+    @property
+    def switches(self) -> list["Switch"]:
+        """Every switch whose packet-ins the controller serves."""
+        return [self.edge, *self.rooms.values()]
 
-    def _on_takeover(self, controller: IoTSecController) -> None:
-        """The standby promoted a new primary: adopt it site-wide.
+    def new_controller(self, policy: PolicyFSM) -> IoTSecController:
+        """Build a controller wired with this site's settings.
+
+        The one construction site for the first controller, a cold
+        restart and a standby takeover alike, so the channel, ingest
+        queue, durable-telemetry consumer and escalation rules can never
+        differ between them.
+        """
+        assert self.orchestrator is not None
+        return IoTSecController(
+            name=self.CONTROLLER,
+            sim=self.sim,
+            policy=policy,
+            orchestrator=self.orchestrator,
+            channel=self.channel,
+            topology=self.topology,
+            escalations=self.escalations,
+            ingest=self.ingest_config,
+            durable_telemetry=self.durable_telemetry,
+        )
+
+    def adopt(self, controller: IoTSecController, replicate: bool = False) -> None:
+        """Make ``controller`` the site's primary.
 
         The cluster's alert sink and view closures resolve
         ``self.controller`` dynamically, so rebinding the attribute is
-        enough for the data path; backpressure and the checkpoint loop
-        are re-wired to the new instance (local-only -- the standby seat
-        is now empty).
+        enough for the data path.  Ingest backpressure is wired to the
+        µmbox host, and exactly one checkpoint loop runs for the new
+        primary.  Only the first primary replicates to the standby: after
+        a restart or a takeover the standby seat is empty.
         """
         self.controller = controller
-        self._wire_survivability(controller)
+        if controller.ingest is not None and self.cluster is not None:
+            controller.ingest.on_shed = self.cluster.set_backpressure
+        if self.checkpointer is not None:
+            self.checkpointer.stop()
         if self.checkpoint_store is not None:
-            if self.checkpointer is not None:
-                self.checkpointer.stop()
             self.checkpointer = Checkpointer(
-                controller, self.checkpoint_store, period=self.checkpoint_period
+                controller,
+                self.checkpoint_store,
+                period=self.checkpoint_period,
+                standby=self.STANDBY if replicate else None,
             )
 
     # ------------------------------------------------------------------
@@ -441,64 +435,43 @@ class SecuredDeployment:
 
     def restart_controller(self) -> IoTSecController:
         """Cold restart from the latest local checkpoint + journal tail."""
-        if self.checkpoint_store is None or self.checkpoint_store.latest() is None:
-            raise RuntimeError(
-                "no checkpoint to restart from (enable checkpointing=True)"
-            )
-        checkpoint = self.checkpoint_store.latest()
-        assert checkpoint is not None
-        tail = [
-            e.as_dict() for e in self.sim.journal.entries_since(checkpoint.seq)
-        ]
-        controller = restore_controller(
-            sim=self.sim,
-            channel=self.channel,
-            orchestrator=self.orchestrator,
-            topology=self.topology,
-            devices=self.devices,
-            switches=[self.edge, *self.rooms.values()],
-            checkpoint=checkpoint,
-            tail=tail,
-            name=self.CONTROLLER,
-            ingest=self.ingest_config,
-            env=self.env,
-            durable_telemetry=self.durable_telemetry,
+        store = self.checkpoint_store
+        checkpoint = store.latest() if store is not None else None
+        if checkpoint is None:
+            raise RuntimeError("no checkpoint to restart from (enable checkpointing=True)")
+        tail = [e.as_dict() for e in self.sim.journal.entries_since(checkpoint.seq)]
+        controller, counts, (checked, repushed) = revive(self, checkpoint, tail)
+        self.sim.journal.record(
+            "controller-restart",
+            controller=controller.name,
+            checkpoint_seq=checkpoint.seq,
+            replayed=sum(counts.values()),
+            reconciled=checked,
+            repushed=repushed,
         )
-        self.controller = controller
-        self._wire_survivability(controller)
-        self.checkpointer = Checkpointer(
-            controller, self.checkpoint_store, period=self.checkpoint_period
-        )
+        self.adopt(controller)
         return controller
 
     def _forward_alert(self, alert: Alert) -> None:
+        body = {
+            "device": alert.device,
+            "kind": alert.kind,
+            "mbox": alert.mbox,
+            "detail": dict(alert.detail),
+            "trace": alert.trace_id,
+        }
         if self.host_stream is not None:
             # Durable plane: the alert enters the host's store-and-forward
             # buffer and ships (and re-ships) as an offset-ordered batch
             # until the controller acknowledges it -- partitions delay it,
             # they no longer delete it.
-            self.host_stream.offer(
-                alert.kind,
-                {
-                    "device": alert.device,
-                    "kind": alert.kind,
-                    "mbox": alert.mbox,
-                    "detail": dict(alert.detail),
-                    "trace": alert.trace_id,
-                },
-            )
+            self.host_stream.offer(alert.kind, body)
             return
         self.channel.send(
             self.CLUSTER,
             self.CONTROLLER,
             "alert",
-            {
-                "device": alert.device,
-                "kind": alert.kind,
-                "mbox": alert.mbox,
-                "detail": dict(alert.detail),
-                "trace": alert.trace_id,
-            },
+            body,
             # Security alerts are the trigger for every escalation: a lost
             # alert is a lost re-enforcement, so they ride at-least-once
             # when the deployment opts into reliable control.

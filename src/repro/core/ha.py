@@ -17,11 +17,13 @@ controller a service that can die and come back:
   control channel -- checkpoints and journal deltas ride at-least-once,
   heartbeats fire-and-forget (a retried heartbeat is a lie about
   liveness).
-- :func:`restore_controller` -- cold restart: rebuild a controller from
-  the latest checkpoint and replay the journal tail (``sim.journal`` as
-  write-ahead log) from the checkpoint's sequence number, reconstructing
-  contexts, escalation windows and runtime rules recorded after the last
-  snapshot.
+- :func:`revive` -- rebuild a site's controller from a checkpoint and
+  replay the journal tail (``sim.journal`` as write-ahead log) from the
+  checkpoint's sequence number, reconstructing contexts, escalation
+  windows and runtime rules recorded after the last snapshot.  Cold
+  restart (:meth:`SecuredDeployment.restart_controller`) and standby
+  takeover both go through it; the site builds the controller, so the
+  site's settings carry over by construction.
 - :class:`StandbyController` -- hot standby: consumes replicated
   checkpoints + deltas, detects primary death by heartbeat timeout
   (seeded jitter, so fleets don't stampede), and takes over: registers
@@ -47,7 +49,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from repro.core.controller import DEFAULT_ESCALATIONS, EscalationRule, IoTSecController
+from repro.core.controller import IoTSecController
 from repro.policy.fsm import PostureRule, StatePredicate
 from repro.policy.serialization import (
     canonical_json,
@@ -58,18 +60,13 @@ from repro.policy.serialization import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.orchestrator import PostureOrchestrator
-    from repro.core.overload import IngestConfig
-    from repro.devices.base import IoTDevice
-    from repro.environment.engine import Environment
-    from repro.netsim.simulator import Simulator
-    from repro.netsim.switch import Switch
-    from repro.netsim.topology import Topology
-    from repro.policy.fsm import PolicyFSM
-    from repro.sdn.channel import ControlChannel, ControlMessage
+    from repro.core.deployment import SecuredDeployment
+    from repro.sdn.channel import ControlMessage
 
 __all__ = [
     "CHECKPOINT_VERSION",
+    "FAILOVER_TIMEOUT",
+    "HEARTBEAT_PERIOD",
     "Checkpoint",
     "CheckpointStore",
     "Checkpointer",
@@ -77,11 +74,18 @@ __all__ = [
     "reconcile",
     "replay_entries",
     "restore_checkpoint",
-    "restore_controller",
+    "revive",
 ]
 
 #: Checkpoint format version; bumped on any incompatible layout change.
 CHECKPOINT_VERSION = 1
+
+#: Seconds between a replicating primary's heartbeats, and between the
+#: standby's liveness checks.
+HEARTBEAT_PERIOD = 0.25
+#: Seconds of primary silence (plus seeded jitter) before the standby
+#: declares it dead and takes over.
+FAILOVER_TIMEOUT = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -228,9 +232,10 @@ class Checkpointer:
     """Primary-side HA agent: periodic capture, replication, heartbeats.
 
     Replication is optional (pass ``standby=None`` for local-only
-    checkpointing, the cold-restart configuration).  Checkpoints and
-    journal deltas ride ``reliable=True``; heartbeats are deliberately
-    fire-and-forget.
+    checkpointing, the cold-restart configuration).  A replicating
+    checkpointer ships over the controller's own channel and heartbeats
+    every :data:`HEARTBEAT_PERIOD`.  Checkpoints and journal deltas ride
+    ``reliable=True``; heartbeats are deliberately fire-and-forget.
     """
 
     def __init__(
@@ -238,24 +243,21 @@ class Checkpointer:
         controller: IoTSecController,
         store: CheckpointStore,
         period: float = 5.0,
-        channel: "ControlChannel | None" = None,
         standby: str | None = None,
-        heartbeat_period: float | None = None,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive (got {period})")
         self.controller = controller
         self.store = store
         self.period = period
-        self.channel = channel
         self.standby = standby
         self._last_shipped_seq = controller.sim.journal.last_seq
         self._stops: list[Callable[[], None]] = [
             controller.sim.every(period, self._tick)
         ]
-        if channel is not None and standby is not None and heartbeat_period:
+        if standby is not None:
             self._stops.append(
-                controller.sim.every(heartbeat_period, self._heartbeat)
+                controller.sim.every(HEARTBEAT_PERIOD, self._heartbeat)
             )
 
     def _tick(self) -> None:
@@ -271,8 +273,8 @@ class Checkpointer:
             digest=checkpoint.digest(),
             view_keys=len(checkpoint.view),
         )
-        if self.channel is not None and self.standby is not None:
-            self.channel.send(
+        if self.standby is not None:
+            controller.channel.send(
                 controller.name,
                 self.standby,
                 "ha-checkpoint",
@@ -283,21 +285,21 @@ class Checkpointer:
 
     def _heartbeat(self) -> None:
         controller = self.controller
-        if controller.crashed or self.channel is None or self.standby is None:
+        if controller.crashed:
             return
-        self.channel.send(
+        controller.channel.send(
             controller.name, self.standby, "ha-heartbeat", {"at": controller.sim.now}
         )
         self._ship_deltas()
 
     def _ship_deltas(self) -> None:
         """Replicate journal entries recorded since the last shipment."""
-        assert self.channel is not None and self.standby is not None
+        assert self.standby is not None
         entries = self.controller.sim.journal.entries_since(self._last_shipped_seq)
         if not entries:
             return
         self._last_shipped_seq = entries[-1].seq
-        self.channel.send(
+        self.controller.channel.send(
             self.controller.name,
             self.standby,
             "ha-delta",
@@ -419,41 +421,27 @@ def reconcile(controller: IoTSecController) -> tuple[int, int]:
     return len(assignments), len(records)
 
 
-def _revive(
-    sim: "Simulator",
-    channel: "ControlChannel",
-    orchestrator: "PostureOrchestrator",
-    topology: "Topology | None",
-    devices: Mapping[str, "IoTDevice"],
-    switches: Iterable["Switch"],
+def revive(
+    site: "SecuredDeployment",
     checkpoint: Checkpoint | None,
     tail: Iterable[Mapping[str, Any]],
-    fallback_policy: dict[str, Any],
-    name: str,
-    escalations: tuple[EscalationRule, ...],
-    ingest: "IngestConfig | None",
-    env: "Environment | None",
-    durable_telemetry: bool = False,
+    fallback_policy: dict[str, Any] | None = None,
 ) -> tuple[IoTSecController, dict[str, int], tuple[int, int]]:
-    """Build + restore + replay + re-adopt + reconcile (shared core)."""
+    """Build + restore + replay + re-adopt + reconcile a site's controller.
+
+    ``tail`` is the journal entries (dict form) with ``seq`` past
+    ``checkpoint.seq``.  Without a checkpoint the controller starts from
+    ``fallback_policy``.  Returns the controller, the replayed counts and
+    ``reconcile``'s ``(checked, repushed)``.
+    """
     policy = policy_from_dict(
         checkpoint.policy if checkpoint is not None else fallback_policy
     )
-    controller = IoTSecController(
-        name=name,
-        sim=sim,
-        policy=policy,
-        orchestrator=orchestrator,
-        channel=channel,
-        topology=topology,
-        escalations=escalations,
-        ingest=ingest,
-        # Stream offsets are in-memory controller state, so a revived
-        # controller starts a fresh consumer: hosts replay from their ack
-        # watermark and the consumer adopts the base on first contact.
-        durable_telemetry=durable_telemetry,
-    )
-    for device in devices.values():
+    # Stream offsets are in-memory controller state, so a revived
+    # controller starts a fresh consumer: hosts replay from their ack
+    # watermark and the consumer adopts the base on first contact.
+    controller = site.new_controller(policy)
+    for device in site.devices.values():
         controller.register_device(device)
     # Registration marked every device dirty with its fresh NORMAL context.
     # Flushing that round would re-derive *default* postures and tear down
@@ -464,60 +452,11 @@ def _revive(
     if checkpoint is not None:
         restore_checkpoint(controller, checkpoint)
     counts = replay_entries(controller, tail)
-    for switch in switches:
+    for switch in site.switches:
         controller.adopt_packet_in(switch)
-    if env is not None:
-        controller.watch_environment(env)
+    controller.watch_environment(site.env)
     checked = reconcile(controller)
     return controller, counts, checked
-
-
-def restore_controller(
-    sim: "Simulator",
-    channel: "ControlChannel",
-    orchestrator: "PostureOrchestrator",
-    topology: "Topology | None",
-    devices: Mapping[str, "IoTDevice"],
-    switches: Iterable["Switch"],
-    checkpoint: Checkpoint,
-    tail: Iterable[Mapping[str, Any]] = (),
-    name: str = "controller",
-    escalations: tuple[EscalationRule, ...] = DEFAULT_ESCALATIONS,
-    ingest: "IngestConfig | None" = None,
-    env: "Environment | None" = None,
-    durable_telemetry: bool = False,
-) -> IoTSecController:
-    """Cold restart: rebuild the controller from checkpoint + WAL tail.
-
-    ``tail`` is the journal entries (dict form) with ``seq`` past
-    ``checkpoint.seq`` -- for a local restart, straight out of
-    ``sim.journal.entries_since(checkpoint.seq)``.
-    """
-    controller, counts, (checked, repushed) = _revive(
-        sim=sim,
-        channel=channel,
-        orchestrator=orchestrator,
-        topology=topology,
-        devices=devices,
-        switches=switches,
-        checkpoint=checkpoint,
-        tail=tail,
-        fallback_policy=checkpoint.policy,
-        name=name,
-        escalations=escalations,
-        ingest=ingest,
-        env=env,
-        durable_telemetry=durable_telemetry,
-    )
-    sim.journal.record(
-        "controller-restart",
-        controller=name,
-        checkpoint_seq=checkpoint.seq,
-        replayed=sum(counts.values()),
-        reconciled=checked,
-        repushed=repushed,
-    )
-    return controller
 
 
 # ----------------------------------------------------------------------
@@ -532,61 +471,33 @@ class StandbyController:
     clock; when it goes silent for longer than the (seeded-jittered)
     timeout, :meth:`takeover` promotes a fresh controller under the
     primary's endpoint name -- at-least-once alert retransmissions that
-    were addressed to the dead primary deliver to the new incumbent.
+    were addressed to the dead primary deliver to the new incumbent --
+    and hands it to the site to adopt.
     """
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        channel: "ControlChannel",
-        orchestrator: "PostureOrchestrator",
-        topology: "Topology | None",
-        policy: "PolicyFSM",
-        devices: Mapping[str, "IoTDevice"],
-        switches: Iterable["Switch"] = (),
-        env: "Environment | None" = None,
-        name: str = "standby",
-        primary: str = "controller",
-        escalations: tuple[EscalationRule, ...] = DEFAULT_ESCALATIONS,
-        ingest: "IngestConfig | None" = None,
-        durable_telemetry: bool = False,
-        heartbeat_timeout: float = 1.0,
-        check_period: float = 0.25,
-        seed: int = 0,
-        on_takeover: Callable[[IoTSecController], None] | None = None,
-    ) -> None:
-        if heartbeat_timeout <= 0:
-            raise ValueError(f"heartbeat_timeout must be positive (got {heartbeat_timeout})")
-        self.sim = sim
-        self.channel = channel
-        self.orchestrator = orchestrator
-        self.topology = topology
-        self.devices = devices
-        self.switches = list(switches)
-        self.env = env
-        self.name = name
-        self.primary = primary
-        self.escalations = escalations
-        self.ingest = ingest
-        self.durable_telemetry = durable_telemetry
-        self.on_takeover = on_takeover
+    def __init__(self, site: "SecuredDeployment", seed: int = 0) -> None:
+        self.site = site
+        self.sim = site.sim
+        self.channel = site.channel
+        self.name = site.STANDBY
+        self.primary = site.CONTROLLER
         #: Cold fallback: a takeover before the first checkpoint arrives
         #: starts from the policy the site was deployed with.
-        self._fallback_policy = policy_to_dict(policy)
+        self._fallback_policy = policy_to_dict(site.policy)
         self.checkpoint: Checkpoint | None = None
         self.deltas: dict[int, dict[str, Any]] = {}
         self.checkpoints_received = 0
         self.heartbeats_received = 0
         #: Seeded detection jitter: replicas across a fleet must not all
         #: declare the primary dead at the same deterministic instant.
-        self.timeout = heartbeat_timeout + random.Random(seed).uniform(
-            0.0, 0.1 * heartbeat_timeout
+        self.timeout = FAILOVER_TIMEOUT + random.Random(seed).uniform(
+            0.0, 0.1 * FAILOVER_TIMEOUT
         )
-        self.last_heartbeat = sim.now
+        self.last_heartbeat = self.sim.now
         self.active = False
         self.promoted: IoTSecController | None = None
-        channel.register(name, self.on_control_message)
-        self._stop_check = sim.every(check_period, self._check)
+        self.channel.register(self.name, self.on_control_message)
+        self._stop_check = self.sim.every(HEARTBEAT_PERIOD, self._check)
 
     # ------------------------------------------------------------------
     def on_control_message(self, message: "ControlMessage") -> None:
@@ -653,21 +564,8 @@ class StandbyController:
                 for seq in sorted(self.deltas)
                 if self.checkpoint is None or seq > self.checkpoint.seq
             ]
-            controller, counts, (checked, repushed) = _revive(
-                sim=sim,
-                channel=self.channel,
-                orchestrator=self.orchestrator,
-                topology=self.topology,
-                devices=self.devices,
-                switches=self.switches,
-                checkpoint=self.checkpoint,
-                tail=tail,
-                fallback_policy=self._fallback_policy,
-                name=self.primary,
-                escalations=self.escalations,
-                ingest=self.ingest,
-                env=self.env,
-                durable_telemetry=self.durable_telemetry,
+            controller, counts, (checked, repushed) = revive(
+                self.site, self.checkpoint, tail, self._fallback_policy
             )
         finally:
             tracer.pop()
@@ -694,8 +592,7 @@ class StandbyController:
             repushed=repushed,
         )
         self.promoted = controller
-        if self.on_takeover is not None:
-            self.on_takeover(controller)
+        self.site.adopt(controller)
         return controller
 
     def stop(self) -> None:

@@ -42,8 +42,6 @@ from repro.faults.plan import FaultEvent, FaultPlan
 #: Failover-scenario schedule (seconds, simulated).
 CRASH_AT = 10.0
 RESTART_AFTER = 20.0          # cold-restart delay in the no-standby arm
-HEARTBEAT_PERIOD = 0.25
-FAILOVER_TIMEOUT = 1.0
 CHECKPOINT_PERIOD = 2.0
 BACKGROUND_LOGINS = (3.0, 6.0)
 ATTACK_START = 10.5
@@ -79,8 +77,6 @@ def run_failover_scenario(
         checkpointing=True,
         checkpoint_period=CHECKPOINT_PERIOD,
         standby=standby,
-        heartbeat_period=HEARTBEAT_PERIOD,
-        failover_timeout=FAILOVER_TIMEOUT,
         ha_seed=seed,
     )
     dep.add_device(smart_camera, "cam")

@@ -17,9 +17,12 @@ import json
 
 import pytest
 
+from repro.core.controller import DEFAULT_ESCALATIONS, EscalationRule
 from repro.core.deployment import SecuredDeployment
 from repro.core.ha import CHECKPOINT_VERSION, Checkpoint, CheckpointStore
+from repro.core.overload import IngestConfig
 from repro.devices.library import smart_camera, smart_plug
+from repro.policy.context import NORMAL, SUSPICIOUS
 from repro.policy.fsm import PostureRule, StatePredicate
 from repro.policy.posture import block_commands, quarantine
 
@@ -125,7 +128,7 @@ class TestMemoizedCheckpoints:
     they hash and the rules they carry are those of a fresh encoding."""
 
     def test_digest_matches_whole_dict_encoding(self):
-        dep = make_dep(standby=True, heartbeat_period=0.25, failover_timeout=1.0, ha_seed=7)
+        dep = make_dep(standby=True, ha_seed=7)
         dep.checkpoint_store.keep = 1000  # keep every tick's checkpoint
         dep.sim.schedule_at(3.5, dep.controller.update_policy, quarantine_rule("cam"))
         drive(dep)
@@ -256,8 +259,6 @@ class TestFailover:
             checkpointing=True,
             checkpoint_period=1.0,
             standby=True,
-            heartbeat_period=0.25,
-            failover_timeout=1.0,
             ha_seed=7,
         )
         dep.add_device(smart_camera, "cam")
@@ -315,3 +316,74 @@ class TestFailover:
         assert standby["failovers"] == 1 and crash["restarts"] == 1
         assert standby["blind_window_s"] < 0.2 * crash["blind_window_s"]
         assert standby["ctrl_giveups"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Site settings carry over to every controller the site builds
+# ---------------------------------------------------------------------------
+#: The default rules, except that two login attempts already make a
+#: device suspicious (the default needs five).
+TWO_STRIKES = tuple(
+    r for r in DEFAULT_ESCALATIONS if r.alert_kind != "login-attempt"
+) + (EscalationRule("login-attempt", SUSPICIOUS, count=2, window=30.0),)
+
+
+class TestSiteBuildsEveryController:
+    """Cold restart and standby takeover build their controller through the
+    site, so its escalation rules, ingest backpressure and checkpoint loop
+    are the first controller's."""
+
+    def make_site(self, **kwargs):
+        dep = SecuredDeployment.build(
+            checkpointing=True,
+            checkpoint_period=1.0,
+            ingest=IngestConfig(),
+            escalations=TWO_STRIKES,
+            **kwargs,
+        )
+        for name in ("cam0", "cam1"):
+            dep.add_device(smart_camera, name)
+        dep.finalize()
+        return dep
+
+    def escalates_on_second_attempt(self, dep, device, at):
+        send_alert(dep, device, "login-attempt", at)
+        dep.run(until=at + 0.1)
+        first = dep.controller.context_of(device)
+        send_alert(dep, device, "login-attempt", at + 0.2)
+        dep.run(until=at + 0.3)
+        return first == NORMAL and dep.controller.context_of(device) == SUSPICIOUS
+
+    def assert_site_wired(self, dep):
+        assert dep.controller.ingest.on_shed == dep.cluster.set_backpressure
+        assert dep.checkpointer.controller is dep.controller
+        # One loop: one checkpoint per period for the next three periods.
+        since = dep.sim.journal.last_seq
+        dep.run(until=dep.sim.now + 3.0)
+        ticks = [e for e in dep.sim.journal.entries_since(since) if e.kind == "checkpoint"]
+        assert len(ticks) == 3
+
+    def test_first_controller_uses_site_escalations(self):
+        dep = self.make_site()
+        assert self.escalates_on_second_attempt(dep, "cam0", 1.0)
+        self.assert_site_wired(dep)
+
+    def test_restarted_controller_keeps_site_settings(self):
+        dep = self.make_site()
+        assert self.escalates_on_second_attempt(dep, "cam0", 1.0)
+        dep.crash_controller()
+        restarted = dep.restart_controller()
+        assert dep.controller is restarted
+        self.assert_site_wired(dep)
+        assert self.escalates_on_second_attempt(dep, "cam1", dep.sim.now + 0.5)
+
+    def test_promoted_standby_keeps_site_settings(self):
+        dep = self.make_site(standby=True)
+        primary = dep.controller
+        assert self.escalates_on_second_attempt(dep, "cam0", 1.0)
+        dep.sim.schedule_at(2.0, dep.crash_controller)
+        dep.run(until=5.0)
+        assert dep.controller is not primary
+        assert dep.controller is dep.standby_controller.promoted
+        self.assert_site_wired(dep)
+        assert self.escalates_on_second_attempt(dep, "cam1", dep.sim.now + 0.5)
